@@ -3,7 +3,8 @@
 Every command is a pure function of its configuration: re-running with
 the same flags (at any parallelism degree) produces byte-identical
 output files.  Per-n results are cached as JSON keyed by a hash of the
-schema version and the exact settings that produced them.
+schema version, the command's algorithm version and the exact settings
+that produced them.  Bad arguments get a one-line error and exit code 2.
 """
 
 import argparse
@@ -15,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from .conformal import LevelCurve
 from .families import build_adjusted, build_raw
 from .metrics import (
     fit_growth,
@@ -48,16 +50,19 @@ def _cache_dir(args) -> str:
     return args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
 
 
-def _cache_key(payload: dict) -> str:
-    blob = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True)
+def _cache_key(payload: dict, version: str) -> str:
+    blob = json.dumps({"schema_version": SCHEMA_VERSION, "algorithm_version": version, **payload}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
-def _cached(cache_dir, payload, compute):
+def _cached(cfg, command, version, compute):
+    """compute(), or its stored result for the same command, version and settings."""
+    cache_dir = cfg["cache_dir"]
     if cache_dir is None:
         return compute()
+    payload = {"command": command, **{k: v for k, v in cfg.items() if k != "cache_dir"}}
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"{payload['command']}-{_cache_key(payload)}.json")
+    path = os.path.join(cache_dir, f"{command}-{_cache_key(payload, version)}.json")
     if os.path.exists(path):
         try:
             with open(path) as fh:
@@ -84,11 +89,11 @@ def _parse_ns(args) -> list:
     if args.n is not None:
         return [args.n]
     if args.sweep:
-        k0, k1 = (int(x) for x in args.sweep.split(".."))
+        k0, k1 = args.sweep
         return [2**k for k in range(k0, k1 + 1)]
     if args.list:
-        return [int(x) for x in args.list.split(",")]
-    raise SystemExit("one of --n, --sweep, --list is required")
+        return args.list
+    _refuse(f"lshapearc {args.command}", "one of --n, --sweep, --list is required")
 
 
 def _map_jobs(fn, tasks, jobs):
@@ -108,22 +113,28 @@ def _build(n, family_kind):
     return build_adjusted(n) if family_kind == "adjusted" and n > 0 else build_raw(n)
 
 
+# bump a command's algorithm version whenever its numbers may change
+LEBESGUE_VERSION = "1"
+MINMAX_VERSION = "1"
+APWEIGHT_VERSION = "2"  # 2: vectorised window sup, M_n can move by an ulp
+MZRATIO_VERSION = "2"  # 2: bisection unfold seeds the level-curve distance
+
+
 def _lebesgue_task(cfg):
     def compute():
         fam = _build(cfg["n"], cfg["family"])
         rec = lebesgue_constant(fam, grid_per_gap=cfg["grid_per_gap"], refine_tol=cfg["refine_tol"])
         return {"n": cfg["n"], "family": cfg["family"], "L": rec.value, "argmax_t": rec.location}
 
-    return _cached(cfg["cache_dir"], {"command": "lebesgue", **{k: cfg[k] for k in ("n", "family", "grid_per_gap", "refine_tol")}}, compute)
+    return _cached(cfg, "lebesgue", LEBESGUE_VERSION, compute)
 
 
 def _minmax_task(cfg):
     def compute():
         lo, hi = level_minmax(cfg["n"], convention=cfg["convention"])
-        return {"n": cfg["n"], "rho": 1.0 + 1.0 / (cfg["n"] + (1 if cfg["convention"] == "one_over_n_plus_1" else 0)),
-                "min": lo.value, "max": hi.value}
+        return {"n": cfg["n"], "rho": LevelCurve(cfg["n"], cfg["convention"]).rho, "min": lo.value, "max": hi.value}
 
-    return _cached(cfg["cache_dir"], {"command": "minmax", **{k: cfg[k] for k in ("n", "convention")}}, compute)
+    return _cached(cfg, "minmax", MINMAX_VERSION, compute)
 
 
 def _apweight_task(cfg):
@@ -132,7 +143,7 @@ def _apweight_task(cfg):
         return {"n": cfg["n"], "p": cfg["p"], "M": rec.value,
                 "step_denom": rec.settings["window_step_denom"], "window_max": rec.settings["window_max"]}
 
-    return _cached(cfg["cache_dir"], {"command": "apweight", **{k: cfg[k] for k in ("n", "p", "window_step_denom", "window_max")}}, compute)
+    return _cached(cfg, "apweight", APWEIGHT_VERSION, compute)
 
 
 def _mzratio_task(cfg):
@@ -140,7 +151,7 @@ def _mzratio_task(cfg):
         rec = mz_ratio(cfg["n"], cfg["p"], quad_tol=cfg["quad_tol"])
         return {"n": cfg["n"], "p": cfg["p"], "k": int(rec.location), "R": rec.value, "dist": rec.settings["dist"]}
 
-    return _cached(cfg["cache_dir"], {"command": "mzratio", **{k: cfg[k] for k in ("n", "p", "quad_tol")}}, compute)
+    return _cached(cfg, "mzratio", MZRATIO_VERSION, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -164,69 +175,45 @@ def cmd_nodes(args):
     return 0
 
 
-def cmd_lebesgue(args):
-    ns = _parse_ns(args)
+def _sweep(args, task, configs, header, row):
+    """Run `task` over `configs` in order and emit a CSV with one row per result."""
     cache_dir = _cache_dir(args)
-    tasks = [
-        {"n": n, "family": args.family, "grid_per_gap": args.grid_per_gap,
-         "refine_tol": args.refine_tol, "cache_dir": cache_dir}
-        for n in sorted(ns)
-    ]
-    rows = _map_jobs(_lebesgue_task, tasks, args.jobs)
-    lines = ["n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol"]
-    for r in rows:
-        over = r["L"] / np.log(r["n"]) if r["n"] >= 2 else float("nan")
-        lines.append(
-            f"{r['n']},{r['family']},{_fmt(r['L'])},{_fmt(over)},{_fmt(r['argmax_t'])},{args.grid_per_gap},{args.refine_tol:g}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    results = _map_jobs(task, [dict(c, cache_dir=cache_dir) for c in configs], args.jobs)
+    _emit("\n".join([header] + [row(r) for r in results]) + "\n", args.out)
     return 0
+
+
+def cmd_lebesgue(args):
+    def row(r):
+        over = r["L"] / np.log(r["n"]) if r["n"] >= 2 else float("nan")
+        return f"{r['n']},{r['family']},{_fmt(r['L'])},{_fmt(over)},{_fmt(r['argmax_t'])},{args.grid_per_gap},{args.refine_tol:g}"
+
+    configs = [{"n": n, "family": args.family, "grid_per_gap": args.grid_per_gap, "refine_tol": args.refine_tol}
+               for n in sorted(_parse_ns(args))]
+    return _sweep(args, _lebesgue_task, configs, "n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol", row)
 
 
 def cmd_minmax(args):
-    ns = _parse_ns(args)
+    ns = sorted(_parse_ns(args))
+    if args.rho == "n" and 0 in ns:
+        _refuse("lshapearc minmax", "--rho n needs degrees of at least 1")
     convention = "one_over_n_plus_1" if args.rho == "n+1" else "one_over_n"
-    cache_dir = _cache_dir(args)
-    tasks = [{"n": n, "convention": convention, "cache_dir": cache_dir} for n in sorted(ns)]
-    rows = _map_jobs(_minmax_task, tasks, args.jobs)
-    lines = ["n,rho,min,max,ratio"]
-    for r in rows:
-        lines.append(f"{r['n']},{_fmt(r['rho'])},{_fmt(r['min'])},{_fmt(r['max'])},{_fmt(r['max'] / r['min'])}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    configs = [{"n": n, "convention": convention} for n in ns]
+    return _sweep(args, _minmax_task, configs, "n,rho,min,max,ratio",
+                  lambda r: f"{r['n']},{_fmt(r['rho'])},{_fmt(r['min'])},{_fmt(r['max'])},{_fmt(r['max'] / r['min'])}")
 
 
 def cmd_apweight(args):
-    ns = _parse_ns(args)
-    ps = [float(x) for x in args.p.split(",")]
-    cache_dir = _cache_dir(args)
-    tasks = [
-        {"n": n, "p": p, "window_step_denom": args.window_step_denom,
-         "window_max": args.window_max, "cache_dir": cache_dir}
-        for n in sorted(ns)
-        for p in ps
-    ]
-    rows = _map_jobs(_apweight_task, tasks, args.jobs)
-    lines = ["n,p,M_n,step_denom,window_max"]
-    for r in rows:
-        lines.append(f"{r['n']},{r['p']:g},{_fmt(r['M'])},{r['step_denom']},{r['window_max']}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    configs = [{"n": n, "p": p, "window_step_denom": args.window_step_denom, "window_max": args.window_max}
+               for n in sorted(_parse_ns(args)) for p in args.p]
+    return _sweep(args, _apweight_task, configs, "n,p,M_n,step_denom,window_max",
+                  lambda r: f"{r['n']},{r['p']:g},{_fmt(r['M'])},{r['step_denom']},{r['window_max']}")
 
 
 def cmd_mzratio(args):
-    ns = _parse_ns(args)
-    cache_dir = _cache_dir(args)
-    tasks = [
-        {"n": n, "p": float(args.p), "quad_tol": args.quad_tol, "cache_dir": cache_dir}
-        for n in sorted(ns)
-    ]
-    rows = _map_jobs(_mzratio_task, tasks, args.jobs)
-    lines = ["n,p,k,R,dist"]
-    for r in rows:
-        lines.append(f"{r['n']},{r['p']:g},{r['k']},{_fmt(r['R'])},{_fmt(r['dist'])}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    configs = [{"n": n, "p": args.p, "quad_tol": args.quad_tol} for n in sorted(_parse_ns(args))]
+    return _sweep(args, _mzratio_task, configs, "n,p,k,R,dist",
+                  lambda r: f"{r['n']},{r['p']:g},{r['k']},{_fmt(r['R'])},{_fmt(r['dist'])}")
 
 
 def cmd_fit(args):
@@ -287,11 +274,47 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+def _refuse(prog, message):
+    """Bad input: one line on stderr and exit code 2, before any computation."""
+    sys.stderr.write(f"{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        _refuse(self.prog, message)  # one line, without the usage block
+
+
+def _checked(parse, ok, what):
+    """An argparse type: parse the text, then refuse values failing `ok`."""
+
+    def convert(text):
+        try:
+            if ok(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, not {text!r}")
+
+    return convert
+
+
+_DEGREE = _checked(int, lambda n: n >= 0, "a nonnegative integer")
+_DEGREES = _checked(lambda s: [int(x) for x in s.split(",")], lambda ns: min(ns) >= 0,
+                    "comma-separated nonnegative integers")
+_SWEEP = _checked(lambda s: [int(x) for x in s.split("..")], lambda ks: len(ks) == 2 and ks[0] >= 0,
+                  "k0..k1 with integers 0 <= k0")
+_POSITIVE = _checked(int, lambda m: m >= 1, "a positive integer")
+_EXPONENT = _checked(float, lambda p: p > 1, "an exponent > 1")
+_EXPONENTS = _checked(lambda s: [float(x) for x in s.split(",")], lambda ps: min(ps) > 1,
+                      "comma-separated exponents > 1")
+
+
 def _add_common(sp, sweep=True):
     if sweep:
-        sp.add_argument("--n", type=int, default=None, help="single degree")
-        sp.add_argument("--sweep", help="powers-of-two range k0..k1 (degrees 2^k0..2^k1)")
-        sp.add_argument("--list", help="comma-separated explicit degrees")
+        sp.add_argument("--n", type=_DEGREE, default=None, help="single degree")
+        sp.add_argument("--sweep", type=_SWEEP, help="powers-of-two range k0..k1 (degrees 2^k0..2^k1)")
+        sp.add_argument("--list", type=_DEGREES, help="comma-separated explicit degrees")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--cache-dir", default=None,
                     help=f"cache directory (default ${CACHE_ENV_VAR} if set)")
@@ -299,12 +322,11 @@ def _add_common(sp, sweep=True):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="lshapearc",
-                                 description="Interpolation-node experiments on the L-shape arc")
+    ap = _Parser(prog="lshapearc", description="Interpolation-node experiments on the L-shape arc")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("nodes", help="dump a node family as JSON")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_DEGREE, required=True)
     sp.add_argument("--family", choices=["raw", "adjusted"], default="adjusted")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_nodes)
@@ -313,7 +335,7 @@ def build_parser():
         sp = sub.add_parser(name, help="Lebesgue constants (CSV)")
         _add_common(sp)
         sp.add_argument("--family", choices=["raw", "adjusted"], default="adjusted")
-        sp.add_argument("--grid-per-gap", type=int, default=64)
+        sp.add_argument("--grid-per-gap", type=_checked(int, lambda g: g >= 8, "an integer >= 8"), default=64)
         sp.add_argument("--refine-tol", type=float, default=1e-9)
         sp.set_defaults(func=cmd_lebesgue)
 
@@ -324,14 +346,14 @@ def build_parser():
 
     sp = sub.add_parser("apweight", help="Muckenhoupt A_p constants (CSV)")
     _add_common(sp)
-    sp.add_argument("--p", default="2", help="comma-separated exponents > 1")
-    sp.add_argument("--window-step-denom", type=int, default=128)
-    sp.add_argument("--window-max", type=int, default=None)
+    sp.add_argument("--p", type=_EXPONENTS, default="2", help="comma-separated exponents > 1")
+    sp.add_argument("--window-step-denom", type=_POSITIVE, default=128)
+    sp.add_argument("--window-max", type=_POSITIVE, default=None)
     sp.set_defaults(func=cmd_apweight)
 
     sp = sub.add_parser("mzratio", help="basis-integral to level-distance ratios (CSV)")
     _add_common(sp)
-    sp.add_argument("--p", default="2")
+    sp.add_argument("--p", type=_EXPONENT, default="2")
     sp.add_argument("--quad-tol", type=float, default=1e-8)
     sp.set_defaults(func=cmd_mzratio)
 

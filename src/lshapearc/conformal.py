@@ -141,10 +141,9 @@ def dist_to_level(z: complex, curve: LevelCurve, seed_angles, half_width: float 
     seeds = np.atleast_1d(np.asarray(seed_angles, dtype=float))
     if seeds.size == 0:
         raise ValueError("seed_angles must be nonempty")
-    rho = curve.rho
 
     def g(t):
-        return abs(z - psi(rho * np.exp(1j * t)))
+        return abs(z - level_point(curve, t))
 
     best = np.inf
     for s in seeds:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conformal import CORNER_ANGLE, LevelCurve, psi
-from .fold import _profile, fold_closed_form, unfold
+from .fold import fold_closed_form, unfold
 
 _CLASSIFY_TOL = 1e-12
 
@@ -87,23 +87,6 @@ def build_raw(n: int) -> NodeFamily:
     )
 
 
-def _unfold_batch(targets: np.ndarray) -> np.ndarray:
-    """Vectorized inverse fold: t in [2pi/3, pi] with fold(t) = target.
-
-    Bisection on the strictly decreasing magnitude profile; 64 halvings
-    of the initial interval reach machine resolution.
-    """
-    lo = np.full(targets.shape, CORNER_ANGLE)
-    hi = np.full(targets.shape, np.pi)
-    want = np.minimum(_profile(targets), _profile(CORNER_ANGLE))
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        above = _profile(mid) > want
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def build_adjusted(n: int) -> NodeFamily:
     """The separation-adjusted family at degree n.
 
@@ -118,18 +101,12 @@ def build_adjusted(n: int) -> NodeFamily:
     folded = _fold_angles(th)
     m = n // 2
     delta = 2.0 * np.pi / (3.0 * (n + 1))
-    k_corner = int(np.searchsorted(th[: m + 1], CORNER_ANGLE + _CLASSIFY_TOL, side="right")) - 1
+    k_corner = _corner_index(th, n)
     outer = np.arange(k_corner + 1, m + 1)
     pairs = []
     if outer.size:
         jk = folded[outer]
-        # the inner grid is uniform, so the nearest index is a rounding
-        # (exact halves resolved to the smaller index, matching argmin)
-        if n % 2 == 0:
-            x = (n + 1) * jk / (2.0 * np.pi)
-        else:
-            x = ((n + 1) * jk / np.pi - 1.0) / 2.0
-        j = np.clip(np.ceil(x - 0.5).astype(int), 0, k_corner)
+        j = _nearest_grid_index(n, jk, 0, k_corner)
         hit = np.abs(jk - th[j]) < delta
         ks, js, jk = outer[hit], j[hit], jk[hit]
         if len(set(js.tolist())) != len(js):
@@ -138,7 +115,7 @@ def build_adjusted(n: int) -> NodeFamily:
         if np.any(target < 0.0) or np.any(target > CORNER_ANGLE):
             raise RuntimeError(f"adjustment target leaves [0, 2pi/3] at n={n}")
         new_j = th[js] + jk - target  # folded pair averages preserved
-        th[ks] = _unfold_batch(target)
+        th[ks] = unfold(target)
         folded[ks] = target
         th[js] = new_j
         folded[js] = new_j
@@ -170,9 +147,21 @@ def separation_margin(f: NodeFamily) -> float:
     return (f.n + 1) * float(np.min(np.diff(s)))
 
 
-def _nearest_with_smaller_tie(x: float) -> int:
-    # nearest integer to x, exact half-way ties resolved downward
-    return int(np.ceil(x - 0.5))
+def _corner_index(th: np.ndarray, n: int) -> int:
+    """Index of the last nonnegative grid angle inside [0, 2pi/3]."""
+    return int(np.searchsorted(th[: n // 2 + 1], CORNER_ANGLE + _CLASSIFY_TOL, side="right")) - 1
+
+
+def _nearest_grid_index(n: int, angle, lo: int, hi: int):
+    """Index of the nonnegative grid angle nearest `angle`, clamped to [lo, hi].
+
+    The grid is uniform, so this is a rounding; ties go to the smaller index.
+    """
+    if n % 2 == 0:
+        x = (n + 1) * angle / (2.0 * np.pi)
+    else:
+        x = ((n + 1) * angle / np.pi - 1.0) / 2.0
+    return np.clip(np.ceil(x - 0.5).astype(int), lo, hi)
 
 
 def k1_k2_locate(n: int, t: float):
@@ -184,22 +173,12 @@ def k1_k2_locate(n: int, t: float):
     """
     if not 0.0 <= t <= CORNER_ANGLE + _CLASSIFY_TOL:
         raise ValueError("t must lie in [0, 2pi/3]")
-    th = theta_grid(n)
     m = n // 2
-
-    def locate(angle):
-        if n % 2 == 0:
-            x = (n + 1) * angle / (2.0 * np.pi)
-        else:
-            x = ((n + 1) * angle / np.pi - 1.0) / 2.0
-        return _nearest_with_smaller_tie(x)
-
-    k_corner = max(i for i in range(m + 1) if th[i] <= CORNER_ANGLE + _CLASSIFY_TOL)
-    k1 = min(max(locate(t), 0), k_corner)
+    k_corner = _corner_index(theta_grid(n), n)
     if k_corner == m:
         raise ValueError(f"no grid angle beyond the endpoint preimage at n={n}")
-    u = unfold(min(t, CORNER_ANGLE))
-    k2 = min(max(locate(u), k_corner + 1), m)
+    k1 = int(_nearest_grid_index(n, t, 0, k_corner))
+    k2 = int(_nearest_grid_index(n, unfold(min(t, CORNER_ANGLE)), k_corner + 1, m))
     return k1, k2
 
 

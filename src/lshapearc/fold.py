@@ -15,7 +15,7 @@ J(-t) = -J(t).
 import numpy as np
 from scipy.optimize import brentq
 
-CORNER_ANGLE = 2.0 * np.pi / 3.0
+from .conformal import CORNER_ANGLE
 
 # magnitude profile along the unit circle: |psi(e^{it})|^2 / 8
 _CBRT4 = 4.0 ** (1.0 / 3.0)
@@ -122,23 +122,28 @@ def fold_prime(t: float) -> float:
     return (np.cos(t) - np.cos(2.0 * t)) / (np.cos(j) - np.cos(2.0 * j))
 
 
-def unfold(j: float) -> float:
+def unfold(j):
     """The unique t with |t| in [2pi/3, pi] and fold(t) = j.
 
     Inverse of the fold on [0, 2pi/3]; negative j unfolds by oddness.
+    Scalar or array in, same kind out.  Bisection on the profile, which
+    strictly decreases on [2pi/3, pi]; 64 halvings reach machine resolution.
     """
-    _check_range(np.asarray(abs(j)), 0.0, CORNER_ANGLE, "|j|")
-    sign = -1.0 if j < 0 else 1.0
-    ja = min(abs(j), CORNER_ANGLE)
-    target = min(_profile(ja), _PROFILE_PEAK)
-    if target <= _profile(np.pi):
-        # below the rounding noise of the profile at float pi the true
-        # preimage is within one ulp of pi; return pi (mirrors fold's
-        # float-pi-stands-for-exact-pi convention)
-        return sign * np.pi
-    # profile is strictly decreasing in t on [2pi/3, pi]
-    t = brentq(lambda x: _profile(x) - target, CORNER_ANGLE, np.pi, xtol=1e-14)
-    return sign * t
+    j = np.asarray(j, dtype=float)
+    _check_range(np.abs(j), 0.0, CORNER_ANGLE, "|j|")
+    want = np.minimum(_profile(np.minimum(np.abs(j), CORNER_ANGLE)), _PROFILE_PEAK)
+    lo, hi = np.full(want.shape, CORNER_ANGLE), np.full(want.shape, np.pi)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        above = _profile(mid) > want
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    # the profile is flat at its peak, where bisection stops short of the
+    # corner; below the rounding noise of the profile at float pi the true
+    # preimage is within one ulp of pi (fold's float-pi-is-exact-pi rule)
+    t = np.where(want >= _PROFILE_PEAK, CORNER_ANGLE, np.where(want <= _profile(np.pi), np.pi, 0.5 * (lo + hi)))
+    t = np.where(j < 0, -t, t)
+    return float(t) if t.ndim == 0 else t
 
 
 def fold_sister(t: float) -> float:

@@ -14,7 +14,6 @@ from .conformal import (
     boundary_point,
     dist_to_level,
     level_point,
-    psi,
 )
 from .families import NodeFamily, build_adjusted, build_raw, theta_grid
 from .fold import fold_sister
@@ -123,12 +122,8 @@ def lower_bound_witness(n: int) -> MetricRecord:
     th = theta_grid(n)
     t0 = (th[0] + th[1]) / 2.0
     z0 = complex(boundary_point(t0))
-    with np.errstate(divide="ignore"):
-        ld = np.log(np.abs(z0 - f.points))
-    s = ld.sum()
-    terms = np.exp(s - ld - table.logs)
-    full = float(terms.sum())
-    partial = float(terms[: n // 6 + 1].sum())
+    full = lebesgue_function(f, table, z0)
+    partial = lebesgue_function(f, table, z0, upto=n // 6 + 1)
     return MetricRecord(
         "lower_bound_witness",
         n,
@@ -144,6 +139,18 @@ def lower_bound_witness(n: int) -> MetricRecord:
 # ---------------------------------------------------------------------------
 
 
+def _level_scan(points, curve: LevelCurve, samples: int = None):
+    """Uniform angles on [-pi, pi) and log|omega| at the level-curve points there.
+
+    The default density, 64(n+1) samples, is the one scan behind the
+    level-curve extrema, the A_p window centre and the ratio index.
+    """
+    if samples is None:
+        samples = 64 * (curve.n + 1)
+    tg = np.linspace(-np.pi, np.pi, samples, endpoint=False)
+    return tg, log_abs_omega(points, level_point(curve, tg))
+
+
 def level_minmax(
     n: int,
     convention: str = "one_over_n_plus_1",
@@ -155,13 +162,10 @@ def level_minmax(
     Uniform angle sampling with local refinement at both extremal
     candidates.  Returns a (min_record, max_record) pair.
     """
-    if samples is None:
-        samples = 64 * (n + 1)
     fam = family if family is not None else build_raw(n)
     curve = LevelCurve(n, convention)
-    tg = np.linspace(-np.pi, np.pi, samples, endpoint=False)
-    lw = log_abs_omega(fam.points, level_point(curve, tg))
-    h = 2.0 * np.pi / samples
+    tg, lw = _level_scan(fam.points, curve, samples)
+    h = 2.0 * np.pi / len(tg)
 
     imin, imax = int(np.argmin(lw)), int(np.argmax(lw))
 
@@ -180,7 +184,7 @@ def level_minmax(
 
     lw_min, t_min = refine_log(imin, True)
     lw_max, t_max = refine_log(imax, False)
-    settings = {"samples": samples, "rho_convention": convention}
+    settings = {"samples": len(tg), "rho_convention": convention}
     rec_min = MetricRecord("level_min", n, fam.kind, float(np.exp(lw_min)), location=t_min, settings=settings)
     rec_max = MetricRecord("level_max", n, fam.kind, float(np.exp(lw_max)), location=t_max, settings=settings)
     return rec_min, rec_max
@@ -213,17 +217,14 @@ def muckenhoupt_constant(
     q = p / (p - 1.0)
     fam = family if family is not None else build_raw(n)
     curve = LevelCurve(n, convention)
-    rho = curve.rho
-
-    coarse = np.linspace(-np.pi, np.pi, 64 * (n + 1), endpoint=False)
-    lw = log_abs_omega(fam.points, psi(rho * np.exp(1j * coarse)))
+    coarse, lw = _level_scan(fam.points, curve)
     t0 = float(coarse[np.argmin(lw)])
 
     step = np.pi / (window_step_denom * (n + 1))
     cap = min(8192, window_step_denom * (n + 1) // 2)
     m_max = cap if window_max is None else min(window_max, cap)
     k = np.arange(-m_max, m_max + 2)
-    zs = psi(rho * np.exp(1j * (t0 + k * step)))
+    zs = level_point(curve, t0 + k * step)
     lv = log_abs_omega(fam.points, zs)
     w = np.abs(np.diff(zs))
     lv = lv[:-1] - lv[:-1].mean()
@@ -233,12 +234,13 @@ def muckenhoupt_constant(
         cq = np.concatenate([[0.0], np.cumsum(w * np.exp(-q * lv))])
     cw = np.concatenate([[0.0], np.cumsum(w)])
 
-    best = 1.0
-    for m in range(1, m_max + 1):
-        lo, hi = m_max - m, m_max + m
-        length = cw[hi] - cw[lo]
+    # nested windows m = 1..m_max steps per side; the sup starts at 1 and,
+    # like max(best, val), skips NaN windows
+    lo, hi = m_max - np.arange(1, m_max + 1), m_max + np.arange(1, m_max + 1)
+    length = cw[hi] - cw[lo]
+    with np.errstate(invalid="ignore", over="ignore"):
         val = ((cp[hi] - cp[lo]) / length) ** (1.0 / p) * ((cq[hi] - cq[lo]) / length) ** (1.0 / q)
-        best = max(best, float(val))
+    best = float(np.fmax.reduce(val, initial=1.0))
     return MetricRecord(
         "muckenhoupt_constant",
         n,
@@ -262,8 +264,7 @@ def muckenhoupt_constant(
 def choose_ratio_index(n: int, family: NodeFamily, convention: str = "one_over_n_plus_1") -> int:
     """Node index nearest the level-curve minimum of the nodal magnitude."""
     curve = LevelCurve(n, convention)
-    tg = np.linspace(-np.pi, np.pi, 64 * (n + 1), endpoint=False)
-    lw = log_abs_omega(family.points, level_point(curve, tg))
+    tg, lw = _level_scan(family.points, curve)
     zmin = complex(level_point(curve, float(tg[np.argmin(lw)])))
     return int(np.argmin(np.abs(family.points - zmin)))
 
@@ -299,6 +300,8 @@ def mz_ratio(
         spos = np.abs(pts[np.sign(fam.folded) == sgn]) / ENDPOINT_RADIUS
         breaks = np.unique(np.concatenate([[0.0, 1.0], spos]))
 
+        # its own scalar path, not the block kernel: quad calls it once per
+        # sample, and the kernel's per-call setup makes each call ~1.6x slower
         def integrand(s):
             z = direction * s
             with np.errstate(divide="ignore"):
@@ -373,6 +376,13 @@ def _extract(records):
     return np.asarray(ns, dtype=float), np.asarray(vals, dtype=float)
 
 
+def _affine_lstsq(x, y):
+    """Least-squares (a, b) of y ~ a + b*x, and the residuals."""
+    design = np.column_stack([np.ones_like(x), x])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return coef, y - design @ coef
+
+
 def fit_growth(records, model: str) -> FitResult:
     """Least-squares growth law through (n, value) observations.
 
@@ -387,26 +397,17 @@ def fit_growth(records, model: str) -> FitResult:
 
     if model == "affine_in_logn":
         x = np.log(ns)
-        y = vals / x
-        design = np.column_stack([np.ones_like(x), x])
-        (a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
-        resid = y - design @ np.array([a, b])
-        return FitResult("affine_in_logn", float(a), float(b),
-                         residual_rms=float(np.sqrt(np.mean(resid**2))), n_range=n_range)
-
-    if model == "power_law":
+        y, beta = vals / x, None
+    elif model == "power_law":
         def sse(beta):
-            design = np.column_stack([np.ones_like(ns), ns**beta])
-            coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-            r = vals - design @ coef
+            r = _affine_lstsq(ns**beta, vals)[1]
             return float(r @ r)
 
         res = minimize_scalar(sse, bounds=(0.05, 2.0), method="bounded", options={"xatol": 1e-6})
         beta = float(res.x)
-        design = np.column_stack([np.ones_like(ns), ns**beta])
-        (a, b), *_ = np.linalg.lstsq(design, vals, rcond=None)
-        resid = vals - design @ np.array([a, b])
-        return FitResult("power_law", float(a), float(b), beta=beta,
-                         residual_rms=float(np.sqrt(np.mean(resid**2))), n_range=n_range)
-
-    raise ValueError(f"unknown model {model!r}")
+        x, y = ns**beta, vals
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    (a, b), resid = _affine_lstsq(x, y)
+    return FitResult(model, float(a), float(b), beta=beta,
+                     residual_rms=float(np.sqrt(np.mean(resid**2))), n_range=n_range)

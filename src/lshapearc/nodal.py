@@ -17,10 +17,22 @@ from .families import LevelNodes, NodeFamily, build_level_nodes, build_raw, k1_k
 _CHUNK_CELLS = 1 << 22
 
 
-def _points_of(nodes) -> np.ndarray:
-    if isinstance(nodes, np.ndarray):
-        return nodes
-    return nodes.points
+def _pair_logs(zs, pts, reduce) -> np.ndarray:
+    """reduce(ld, rows) over row blocks ld[i, k] = log|zs[rows][i] - pts[k]|.
+
+    The one pair kernel under every nodal quantity.  Each block is built,
+    reduced to one value per row and released before the next one is
+    built, so at most one block of _CHUNK_CELLS cells is alive at a time.
+    """
+    out = np.empty(len(zs))
+    chunk = max(1, _CHUNK_CELLS // max(1, len(pts)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i0 in range(0, len(zs), chunk):
+            rows = slice(i0, i0 + chunk)
+            d = np.abs(zs[rows, None] - pts[None, :])
+            out[rows] = reduce(np.log(d, out=d), rows)
+            del d  # hold no block while the next one is built
+    return out
 
 
 def log_abs_omega(nodes, z):
@@ -30,18 +42,9 @@ def log_abs_omega(nodes, z):
     Scalar z returns a float; an array of z returns an array, evaluated
     in chunks to bound memory.
     """
-    pts = _points_of(nodes)
     z = np.asarray(z, dtype=complex)
-    if z.ndim == 0:
-        with np.errstate(divide="ignore"):
-            return float(np.sum(np.log(np.abs(z - pts))))
-    out = np.empty(z.shape[0])
-    chunk = max(1, _CHUNK_CELLS // max(1, len(pts)))
-    with np.errstate(divide="ignore"):
-        for i in range(0, len(z), chunk):
-            block = z[i : i + chunk]
-            out[i : i + chunk] = np.log(np.abs(block[:, None] - pts[None, :])).sum(axis=1)
-    return out
+    out = _pair_logs(np.atleast_1d(z), getattr(nodes, "points", nodes), lambda ld, rows: ld.sum(axis=1))
+    return float(out[0]) if z.ndim == 0 else out
 
 
 @dataclass
@@ -53,55 +56,43 @@ class DerivativeTable:
 
 
 def build_derivative_table(f: NodeFamily) -> DerivativeTable:
-    pts = f.points
-    m = len(pts)
-    logs = np.empty(m)
-    chunk = max(1, _CHUNK_CELLS // m)
-    for i0 in range(0, m, chunk):
-        i1 = min(i0 + chunk, m)
-        block = np.abs(pts[i0:i1, None] - pts[None, :])
-        rows = np.arange(i0, i1)
-        block[rows - i0, rows] = 1.0  # skip the j == k factor
-        if np.any(block == 0.0):
-            r, c = np.argwhere(block == 0.0)[0]
-            raise ValueError(f"duplicate nodes at indices {i0 + r} and {c}")
-        logs[i0:i1] = np.log(block).sum(axis=1)
-    return DerivativeTable(family=f, logs=logs)
+    def skip_diagonal(ld, rows):
+        r = np.arange(len(ld))
+        ld[r, rows.start + r] = 0.0  # skip the j == k factor
+        if np.any(ld == -np.inf):
+            i, j = np.argwhere(ld == -np.inf)[0]
+            raise ValueError(f"duplicate nodes at indices {rows.start + i} and {j}")
+        return ld.sum(axis=1)
+
+    return DerivativeTable(family=f, logs=_pair_logs(f.points, f.points, skip_diagonal))
 
 
-def lebesgue_function(f: NodeFamily, table: DerivativeTable, z: complex) -> float:
+def _lebesgue_sums(logs, upto=None):
+    """Row reduction: the sum over k < upto of |l_k(z)| (exactly 1 at a node)."""
+
+    def reduce(ld, rows):
+        hit = (ld == -np.inf).any(axis=1)
+        lam = np.exp(ld.sum(axis=1)[:, None] - ld - logs[None, :])[:, :upto].sum(axis=1)
+        lam[hit] = 1.0
+        return lam
+
+    return reduce
+
+
+def lebesgue_function(f: NodeFamily, table: DerivativeTable, z: complex, upto: int = None) -> float:
     """Sum of canonical Lagrange basis magnitudes at z.
 
     Exactly 1 when z is a node (the matching basis element is 1 there
-    and every other one vanishes with the nodal polynomial).
+    and every other one vanishes with the nodal polynomial).  With
+    `upto`, only the first `upto` basis magnitudes are summed.
     """
-    pts = f.points
-    with np.errstate(divide="ignore"):
-        ld = np.log(np.abs(z - pts))
-    if np.any(np.isneginf(ld)):
-        return 1.0
-    s = ld.sum()
-    return float(np.exp(s - ld - table.logs).sum())
+    zs = np.asarray([z], dtype=complex)
+    return float(_pair_logs(zs, f.points, _lebesgue_sums(table.logs, upto))[0])
 
 
 def lebesgue_function_grid(f: NodeFamily, table: DerivativeTable, zs: np.ndarray) -> np.ndarray:
     """Vectorized Lebesgue function over an array of evaluation points."""
-    pts = f.points
-    logs = table.logs
-    zs = np.asarray(zs, dtype=complex)
-    out = np.empty(len(zs))
-    chunk = max(1, _CHUNK_CELLS // max(1, len(pts)))
-    for i0 in range(0, len(zs), chunk):
-        block = zs[i0 : i0 + chunk]
-        d = np.abs(block[:, None] - pts[None, :])
-        hit = (d == 0.0).any(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ld = np.log(d)
-            s = ld.sum(axis=1)
-            lam = np.exp(s[:, None] - ld - logs[None, :]).sum(axis=1)
-        lam[hit] = 1.0
-        out[i0 : i0 + chunk] = lam
-    return out
+    return _pair_logs(np.asarray(zs, dtype=complex), f.points, _lebesgue_sums(table.logs))
 
 
 def asymptotic_omega_estimate(

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from lshapearc import cli
 from lshapearc.cli import main
 from lshapearc.verify import _check_endpoint
 
@@ -55,7 +56,7 @@ def test_sweep_jobs_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_cache_replay(tmp_path):
+def test_sweep_cache_replay(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep", "--list", "16,32", "--family", "raw", "--cache-dir", str(cache)]
@@ -69,6 +70,35 @@ def test_sweep_cache_replay(tmp_path):
     c = tmp_path / "c.csv"
     run_cli(args + ["--out", str(c)])
     assert a.read_bytes() == c.read_bytes()
+    # a bumped algorithm version misses every old entry and writes its own
+    monkeypatch.setattr(cli, "LEBESGUE_VERSION", cli.LEBESGUE_VERSION + "-bumped")
+    run_cli(args + ["--out", str(c)])
+    assert len(sorted(cache.glob("lebesgue-*.json"))) == 4
+    assert a.read_bytes() == c.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lebesgue", "--n", "-1"],
+        ["sweep", "--sweep", "4..x"],
+        ["apweight", "--n", "16", "--p", "1"],
+        ["sweep", "--n", "16", "--grid-per-gap", "4"],
+        ["minmax", "--n", "0", "--rho", "n"],
+        ["apweight", "--n", "4", "--window-max", "-5"],
+        ["mzratio"],
+    ],
+)
+def test_bad_input_is_one_line_exit_2(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "lshapearc.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr.startswith(f"lshapearc {argv[0]}: error: ")
 
 
 def test_minmax_csv(tmp_path):

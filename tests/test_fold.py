@@ -73,6 +73,11 @@ def test_conformal_consistency(t):
 @given(st.floats(min_value=CORNER_ANGLE + 1e-6, max_value=np.pi - 1e-9))
 def test_round_trip(t):
     assert abs(unfold(fold_closed_form(t)) - t) < 1e-10
+    js = np.array([fold_closed_form(t), -fold_closed_form(t), 0.5 * fold_closed_form(t)])
+    ts = unfold(js)
+    assert isinstance(ts, np.ndarray) and ts.shape == js.shape
+    assert np.all(ts == [unfold(float(j)) for j in js])
+    assert np.all(np.abs(unfold(fold_closed_form(np.array([t, -t]))) - [t, -t]) < 1e-10)
 
 
 def test_round_trip_near_corner():
@@ -88,6 +93,15 @@ def test_unfold_values():
     assert unfold(0.0) == pytest.approx(np.pi, abs=1e-12)
     assert abs(unfold(0.760171) - 32.0 * np.pi / 33.0) < 1e-5
     assert unfold(-0.5) == -unfold(0.5)
+
+    js = np.array([0.0, 1e-7, 0.5, 0.760171, 1.5, CORNER_ANGLE - 1e-6, CORNER_ANGLE])
+    ts = unfold(js)
+    assert np.all(ts == [unfold(float(j)) for j in js])
+    assert np.all(unfold(-js)[1:] == -ts[1:])
+    assert unfold(-0.0) == np.pi
+    assert unfold(CORNER_ANGLE) == CORNER_ANGLE
+    assert ts[-1] == CORNER_ANGLE and unfold(-js)[-1] == -CORNER_ANGLE
+    assert unfold(js.reshape(7, 1)).shape == (7, 1)
 
 
 def test_fold_prime_endpoints():
