@@ -55,21 +55,22 @@ def _cache_key(payload: dict, version: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
-def _cached(cfg, command, version, compute):
-    """compute(), or its stored result for the same command, version and settings."""
+def _cached(cfg, compute):
+    """compute(cfg), or its stored result for the same command, version and settings."""
     cache_dir = cfg["cache_dir"]
     if cache_dir is None:
-        return compute()
-    payload = {"command": command, **{k: v for k, v in cfg.items() if k != "cache_dir"}}
+        return compute(cfg)
+    command = cfg["command"]
+    payload = {k: v for k, v in cfg.items() if k != "cache_dir"}
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"{command}-{_cache_key(payload, version)}.json")
+    path = os.path.join(cache_dir, f"{command}-{_cache_key(payload, VERSIONS[command])}.json")
     if os.path.exists(path):
         try:
             with open(path) as fh:
                 return json.load(fh)
         except (json.JSONDecodeError, OSError) as exc:
             print(f"warning: discarding corrupt cache entry {path}: {exc}", file=sys.stderr)
-    result = compute()
+    result = compute(cfg)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(result, fh, sort_keys=True)
@@ -114,44 +115,40 @@ def _build(n, family_kind):
 
 
 # bump a command's algorithm version whenever its numbers may change
-LEBESGUE_VERSION = "1"
-MINMAX_VERSION = "1"
-APWEIGHT_VERSION = "2"  # 2: vectorised window sup, M_n can move by an ulp
-MZRATIO_VERSION = "2"  # 2: bisection unfold seeds the level-curve distance
+VERSIONS = {
+    "lebesgue": "1",
+    "minmax": "1",
+    "apweight": "2",  # 2: vectorised window sup, M_n can move by an ulp
+    "mzratio": "2",  # 2: bisection unfold seeds the level-curve distance
+}
 
 
-def _lebesgue_task(cfg):
-    def compute():
-        fam = _build(cfg["n"], cfg["family"])
-        rec = lebesgue_constant(fam, grid_per_gap=cfg["grid_per_gap"], refine_tol=cfg["refine_tol"])
-        return {"n": cfg["n"], "family": cfg["family"], "L": rec.value, "argmax_t": rec.location}
-
-    return _cached(cfg, "lebesgue", LEBESGUE_VERSION, compute)
+def _lebesgue(cfg):
+    fam = _build(cfg["n"], cfg["family"])
+    rec = lebesgue_constant(fam, grid_per_gap=cfg["grid_per_gap"], refine_tol=cfg["refine_tol"])
+    return {"n": cfg["n"], "family": cfg["family"], "L": rec.value, "argmax_t": rec.location}
 
 
-def _minmax_task(cfg):
-    def compute():
-        lo, hi = level_minmax(cfg["n"], convention=cfg["convention"])
-        return {"n": cfg["n"], "rho": LevelCurve(cfg["n"], cfg["convention"]).rho, "min": lo.value, "max": hi.value}
-
-    return _cached(cfg, "minmax", MINMAX_VERSION, compute)
+def _minmax(cfg):
+    lo, hi = level_minmax(cfg["n"], convention=cfg["convention"])
+    return {"n": cfg["n"], "rho": LevelCurve(cfg["n"], cfg["convention"]).rho, "min": lo.value, "max": hi.value}
 
 
-def _apweight_task(cfg):
-    def compute():
-        rec = muckenhoupt_constant(cfg["n"], cfg["p"], window_step_denom=cfg["window_step_denom"], window_max=cfg["window_max"])
-        return {"n": cfg["n"], "p": cfg["p"], "M": rec.value,
-                "step_denom": rec.settings["window_step_denom"], "window_max": rec.settings["window_max"]}
-
-    return _cached(cfg, "apweight", APWEIGHT_VERSION, compute)
+def _apweight(cfg):
+    rec = muckenhoupt_constant(cfg["n"], cfg["p"], window_step_denom=cfg["window_step_denom"], window_max=cfg["window_max"])
+    return {"n": cfg["n"], "p": cfg["p"], "M": rec.value,
+            "step_denom": rec.settings["window_step_denom"], "window_max": rec.settings["window_max"]}
 
 
-def _mzratio_task(cfg):
-    def compute():
-        rec = mz_ratio(cfg["n"], cfg["p"], quad_tol=cfg["quad_tol"])
-        return {"n": cfg["n"], "p": cfg["p"], "k": int(rec.location), "R": rec.value, "dist": rec.settings["dist"]}
+def _mzratio(cfg):
+    rec = mz_ratio(cfg["n"], cfg["p"], quad_tol=cfg["quad_tol"])
+    return {"n": cfg["n"], "p": cfg["p"], "k": int(rec.location), "R": rec.value, "dist": rec.settings["dist"]}
 
-    return _cached(cfg, "mzratio", MZRATIO_VERSION, compute)
+
+def _task(cfg):
+    """One sweep entry: the result of cfg's command for cfg, through the cache."""
+    compute = {"lebesgue": _lebesgue, "minmax": _minmax, "apweight": _apweight, "mzratio": _mzratio}
+    return _cached(cfg, compute[cfg["command"]])
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +172,10 @@ def cmd_nodes(args):
     return 0
 
 
-def _sweep(args, task, configs, header, row):
-    """Run `task` over `configs` in order and emit a CSV with one row per result."""
+def _sweep(args, command, configs, header, row):
+    """Run `command` over `configs` in order and emit a CSV with one row per result."""
     cache_dir = _cache_dir(args)
-    results = _map_jobs(task, [dict(c, cache_dir=cache_dir) for c in configs], args.jobs)
+    results = _map_jobs(_task, [dict(c, command=command, cache_dir=cache_dir) for c in configs], args.jobs)
     _emit("\n".join([header] + [row(r) for r in results]) + "\n", args.out)
     return 0
 
@@ -190,7 +187,7 @@ def cmd_lebesgue(args):
 
     configs = [{"n": n, "family": args.family, "grid_per_gap": args.grid_per_gap, "refine_tol": args.refine_tol}
                for n in sorted(_parse_ns(args))]
-    return _sweep(args, _lebesgue_task, configs, "n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol", row)
+    return _sweep(args, "lebesgue", configs, "n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol", row)
 
 
 def cmd_minmax(args):
@@ -199,38 +196,41 @@ def cmd_minmax(args):
         _refuse("lshapearc minmax", "--rho n needs degrees of at least 1")
     convention = "one_over_n_plus_1" if args.rho == "n+1" else "one_over_n"
     configs = [{"n": n, "convention": convention} for n in ns]
-    return _sweep(args, _minmax_task, configs, "n,rho,min,max,ratio",
+    return _sweep(args, "minmax", configs, "n,rho,min,max,ratio",
                   lambda r: f"{r['n']},{_fmt(r['rho'])},{_fmt(r['min'])},{_fmt(r['max'])},{_fmt(r['max'] / r['min'])}")
 
 
 def cmd_apweight(args):
     configs = [{"n": n, "p": p, "window_step_denom": args.window_step_denom, "window_max": args.window_max}
                for n in sorted(_parse_ns(args)) for p in args.p]
-    return _sweep(args, _apweight_task, configs, "n,p,M_n,step_denom,window_max",
+    return _sweep(args, "apweight", configs, "n,p,M_n,step_denom,window_max",
                   lambda r: f"{r['n']},{r['p']:g},{_fmt(r['M'])},{r['step_denom']},{r['window_max']}")
 
 
 def cmd_mzratio(args):
     configs = [{"n": n, "p": args.p, "quad_tol": args.quad_tol} for n in sorted(_parse_ns(args))]
-    return _sweep(args, _mzratio_task, configs, "n,p,k,R,dist",
+    return _sweep(args, "mzratio", configs, "n,p,k,R,dist",
                   lambda r: f"{r['n']},{r['p']:g},{r['k']},{_fmt(r['R'])},{_fmt(r['dist'])}")
 
 
 def cmd_fit(args):
-    with open(args.input) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if args.value_col:
-        col = args.value_col
-    else:
-        candidates = [c for c in ("L_n", "M_n", "R", "ratio") if c in header]
-        if not candidates:
-            raise SystemExit(f"no known value column in {header}; use --value-col")
-        col = candidates[0]
-    i_n, i_v = header.index("n"), header.index(col)
-    pairs = [(int(r[i_n]), float(r[i_v])) for r in rows]
+    prog = "lshapearc fit"
+    try:
+        with open(args.input) as fh:
+            header = fh.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in fh if line.strip()]
+    except OSError as exc:
+        _refuse(prog, f"cannot read {args.input}: {exc.strerror}")
+    col = args.value_col or next((c for c in ("L_n", "M_n", "R", "ratio") if c in header), None)
+    if col is None:
+        _refuse(prog, f"no known value column in {header}; use --value-col")
     model = "affine_in_logn" if args.model == "affine" else "power_law"
-    fit = fit_growth(pairs, model)
+    try:
+        i_n, i_v = header.index("n"), header.index(col)
+        pairs = [(int(r[i_n]), float(r[i_v])) for r in rows]
+        fit = fit_growth(pairs, model)
+    except (ValueError, IndexError) as exc:
+        _refuse(prog, f"{args.input}: {exc}")
     preds = []
     for n, v in pairs:
         if model == "affine_in_logn":
@@ -308,17 +308,17 @@ _POSITIVE = _checked(int, lambda m: m >= 1, "a positive integer")
 _EXPONENT = _checked(float, lambda p: p > 1, "an exponent > 1")
 _EXPONENTS = _checked(lambda s: [float(x) for x in s.split(",")], lambda ps: min(ps) > 1,
                       "comma-separated exponents > 1")
+_TOLERANCE = _checked(float, lambda x: 0 < x < float("inf"), "a positive finite number")
 
 
-def _add_common(sp, sweep=True):
-    if sweep:
-        sp.add_argument("--n", type=_DEGREE, default=None, help="single degree")
-        sp.add_argument("--sweep", type=_SWEEP, help="powers-of-two range k0..k1 (degrees 2^k0..2^k1)")
-        sp.add_argument("--list", type=_DEGREES, help="comma-separated explicit degrees")
+def _add_common(sp):
+    sp.add_argument("--n", type=_DEGREE, default=None, help="single degree")
+    sp.add_argument("--sweep", type=_SWEEP, help="powers-of-two range k0..k1 (degrees 2^k0..2^k1)")
+    sp.add_argument("--list", type=_DEGREES, help="comma-separated explicit degrees")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--cache-dir", default=None,
                     help=f"cache directory (default ${CACHE_ENV_VAR} if set)")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    sp.add_argument("--jobs", type=_POSITIVE, default=1, help="parallel workers")
 
 
 def build_parser():
@@ -336,7 +336,7 @@ def build_parser():
         _add_common(sp)
         sp.add_argument("--family", choices=["raw", "adjusted"], default="adjusted")
         sp.add_argument("--grid-per-gap", type=_checked(int, lambda g: g >= 8, "an integer >= 8"), default=64)
-        sp.add_argument("--refine-tol", type=float, default=1e-9)
+        sp.add_argument("--refine-tol", type=_TOLERANCE, default=1e-9)
         sp.set_defaults(func=cmd_lebesgue)
 
     sp = sub.add_parser("minmax", help="level-curve extrema of the nodal magnitude (CSV)")
@@ -354,7 +354,7 @@ def build_parser():
     sp = sub.add_parser("mzratio", help="basis-integral to level-distance ratios (CSV)")
     _add_common(sp)
     sp.add_argument("--p", type=_EXPONENT, default="2")
-    sp.add_argument("--quad-tol", type=float, default=1e-8)
+    sp.add_argument("--quad-tol", type=_TOLERANCE, default=1e-8)
     sp.set_defaults(func=cmd_mzratio)
 
     sp = sub.add_parser("fit", help="growth-law fit of a sweep CSV (JSON)")

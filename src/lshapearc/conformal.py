@@ -130,10 +130,10 @@ def level_point(curve: LevelCurve, t):
     return psi(curve.rho * np.exp(1j * t))
 
 
-def dist_to_level(z: complex, curve: LevelCurve, seed_angles, half_width: float = 0.75) -> float:
+def dist_to_level(z: complex, curve: LevelCurve, seed_angles) -> float:
     """Euclidean distance from z to the level curve.
 
-    Minimizes |z - level_point(t)| locally around each seed angle
+    Minimizes |z - level_point(t)| within 0.75 of each seed angle
     (typically a node's own angle and its fold sister's), then takes the
     smallest.  The nearest point can sit on either sheet near the corner,
     which is why both seeds matter.
@@ -149,7 +149,7 @@ def dist_to_level(z: complex, curve: LevelCurve, seed_angles, half_width: float 
     for s in seeds:
         res = minimize_scalar(
             g,
-            bounds=(s - half_width, s + half_width),
+            bounds=(s - 0.75, s + 0.75),
             method="bounded",
             options={"xatol": 1e-12},
         )

@@ -23,7 +23,11 @@ _CBRT4 = 4.0 ** (1.0 / 3.0)
 
 def _profile(t):
     """sin(t) * sin^2(t/2), the quantity matched by fold sisters."""
-    return np.sin(t) * np.sin(t / 2.0) ** 2
+    # s * s, not s ** 2: a numpy float64 scalar squares through C pow, which
+    # can differ by one ulp from the array path, and unfold must give the
+    # same bits for a scalar and for the same value inside an array
+    s = np.sin(t / 2.0)
+    return np.sin(t) * (s * s)
 
 
 def _profile_deriv(j):

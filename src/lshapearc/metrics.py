@@ -56,26 +56,19 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def lebesgue_constant(
-    f: NodeFamily,
-    grid_per_gap: int = 64,
-    refine_tol: float = 1e-9,
-    table: DerivativeTable = None,
-    n_refine: int = 5,
-) -> MetricRecord:
+def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64, refine_tol: float = 1e-9) -> MetricRecord:
     """Max of the Lebesgue function over the arc.
 
     Samples grid_per_gap points inside every folded-angle gap (covering
     both sheets through the folded coordinate), then golden-section
-    refines around the top candidates.
+    refines around the five best samples.
     """
     settings = {"grid_per_gap": grid_per_gap, "refine_tol": refine_tol}
     if f.n == 0:
         return MetricRecord("lebesgue_constant", 0, f.kind, 1.0, location=float(f.folded[0]), settings=settings)
     if grid_per_gap < 8:
         raise ValueError("grid_per_gap must be >= 8")
-    if table is None:
-        table = build_derivative_table(f)
+    table = build_derivative_table(f)
 
     knots = np.unique(np.concatenate([[-CORNER_ANGLE, CORNER_ANGLE], np.sort(f.folded)]))
     ts = []
@@ -91,7 +84,7 @@ def lebesgue_constant(
         return -lebesgue_function(f, table, complex(boundary_point(t)))
 
     best_val, best_t = 1.0, float(f.folded[0])
-    order = np.argsort(lam)[::-1][:n_refine]
+    order = np.argsort(lam)[::-1][:5]
     span = knots[-1] - knots[0]
     h = span / len(ts)
     for i in order:
@@ -139,32 +132,25 @@ def lower_bound_witness(n: int) -> MetricRecord:
 # ---------------------------------------------------------------------------
 
 
-def _level_scan(points, curve: LevelCurve, samples: int = None):
-    """Uniform angles on [-pi, pi) and log|omega| at the level-curve points there.
+def _level_scan(points, curve: LevelCurve):
+    """64(n+1) uniform angles on [-pi, pi) and log|omega| at the level-curve points there.
 
-    The default density, 64(n+1) samples, is the one scan behind the
-    level-curve extrema, the A_p window centre and the ratio index.
+    The one scan behind the level-curve extrema, the A_p window centre
+    and the ratio index.
     """
-    if samples is None:
-        samples = 64 * (curve.n + 1)
-    tg = np.linspace(-np.pi, np.pi, samples, endpoint=False)
+    tg = np.linspace(-np.pi, np.pi, 64 * (curve.n + 1), endpoint=False)
     return tg, log_abs_omega(points, level_point(curve, tg))
 
 
-def level_minmax(
-    n: int,
-    convention: str = "one_over_n_plus_1",
-    samples: int = None,
-    family: NodeFamily = None,
-):
+def level_minmax(n: int, convention: str = "one_over_n_plus_1"):
     """Min and max of the raw-family nodal magnitude over the level curve.
 
     Uniform angle sampling with local refinement at both extremal
     candidates.  Returns a (min_record, max_record) pair.
     """
-    fam = family if family is not None else build_raw(n)
+    fam = build_raw(n)
     curve = LevelCurve(n, convention)
-    tg, lw = _level_scan(fam.points, curve, samples)
+    tg, lw = _level_scan(fam.points, curve)
     h = 2.0 * np.pi / len(tg)
 
     imin, imax = int(np.argmin(lw)), int(np.argmax(lw))
@@ -200,7 +186,6 @@ def muckenhoupt_constant(
     p: float,
     window_step_denom: int = 128,
     window_max: int = None,
-    convention: str = "one_over_n_plus_1",
     family: NodeFamily = None,
 ) -> MetricRecord:
     """Discrete sup of the A_p window functional of |omega_n| on the level curve.
@@ -216,7 +201,7 @@ def muckenhoupt_constant(
         raise ValueError("p must exceed 1")
     q = p / (p - 1.0)
     fam = family if family is not None else build_raw(n)
-    curve = LevelCurve(n, convention)
+    curve = LevelCurve(n)
     coarse, lw = _level_scan(fam.points, curve)
     t0 = float(coarse[np.argmin(lw)])
 
@@ -251,7 +236,7 @@ def muckenhoupt_constant(
         settings={
             "window_step_denom": window_step_denom,
             "window_max": m_max,
-            "rho_convention": convention,
+            "rho_convention": curve.convention,
         },
     )
 
@@ -261,9 +246,9 @@ def muckenhoupt_constant(
 # ---------------------------------------------------------------------------
 
 
-def choose_ratio_index(n: int, family: NodeFamily, convention: str = "one_over_n_plus_1") -> int:
+def choose_ratio_index(n: int, family: NodeFamily) -> int:
     """Node index nearest the level-curve minimum of the nodal magnitude."""
-    curve = LevelCurve(n, convention)
+    curve = LevelCurve(n)
     tg, lw = _level_scan(family.points, curve)
     zmin = complex(level_point(curve, float(tg[np.argmin(lw)])))
     return int(np.argmin(np.abs(family.points - zmin)))
@@ -274,7 +259,6 @@ def mz_ratio(
     p: float,
     k: int = None,
     quad_tol: float = 1e-8,
-    convention: str = "one_over_n_plus_1",
     family: NodeFamily = None,
     table: DerivativeTable = None,
 ) -> MetricRecord:
@@ -290,7 +274,7 @@ def mz_ratio(
     if table is None:
         table = build_derivative_table(fam)
     if k is None:
-        k = 0 if n == 0 else choose_ratio_index(n, fam, convention)
+        k = 0 if n == 0 else choose_ratio_index(n, fam)
     pts = fam.points
     log_dk = table.logs[k]
 
@@ -316,7 +300,7 @@ def mz_ratio(
             total += val
     total *= ENDPOINT_RADIUS  # |dz| = 27^(1/4) ds on each segment
 
-    curve = LevelCurve(n, convention)
+    curve = LevelCurve(n)
     zk = complex(pts[k])
     seeds = [float(fam.angles[k]), fold_sister(float(fam.angles[k]))]
     d = dist_to_level(zk, curve, seeds)
@@ -327,7 +311,7 @@ def mz_ratio(
         total / d,
         p=p,
         location=k,
-        settings={"integral": total, "dist": d, "quad_tol": quad_tol, "rho_convention": convention},
+        settings={"integral": total, "dist": d, "quad_tol": quad_tol, "rho_convention": curve.convention},
     )
 
 

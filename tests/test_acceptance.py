@@ -12,6 +12,7 @@ import pytest
 
 import lshapearc as L
 from lshapearc.cli import main as cli_main
+from lshapearc.verify import CHECKS
 
 # published reference tables ------------------------------------------------
 
@@ -216,41 +217,11 @@ def test_criterion_08_growth_laws():
 
 def test_criterion_09_oracle_suites():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    for n in range(1, 25):
-        fam = L.build_raw(n)
-        for _ in range(8):
-            z = complex(rng.normal(scale=2.0), rng.normal(scale=2.0))
-            direct = float(np.prod(np.abs(z - fam.points)))
-            worst = max(worst, abs(np.exp(L.log_abs_omega(fam, z)) - direct) / direct)
-    ok_prod = worst < 1e-10
-
-    lo_band = np.exp(-3.0) * (np.e - 1.0) ** 2
-    hi_band = np.e**5 * (1.0 + 2.0 * np.e) / (np.e - 1.0)
-    lo, hi = np.inf, 0.0
-    for n in (16, 64, 256, 1024):
-        lvl = L.build_level_nodes(n, "one_over_n")
-        t = rng.uniform(-2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0, 1000)
-        vals = np.exp(L.log_abs_omega(lvl.points, L.boundary_point(t)))
-        lo, hi = min(lo, vals.min()), max(hi, vals.max())
-    ok_band = lo >= lo_band and hi <= hi_band
-
-    fam = L.build_raw(32)
-    table = L.build_derivative_table(fam)
-    ok_nodes = all(
-        L.lebesgue_function(fam, table, complex(fam.points[k])) == 1.0 for k in range(33)
-    )
-    tarc = np.linspace(-2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0, 1000)
-    lam = L.lebesgue_function_grid(fam, table, L.boundary_point(tarc))
-    ok_floor = bool(np.all(lam >= 1.0 - 1e-10))
-    ok_L0 = L.lebesgue_constant(L.build_raw(0)).value == 1.0
-
+    checks = dict(CHECKS)
+    results = {name: checks[name]() for name in ("log_product_oracle", "level_product_containment", "lebesgue_basics")}
     el = time.perf_counter() - t0
-    ok = ok_prod and ok_band and ok_nodes and ok_floor and ok_L0 and el < 120.0
-    report(9, "oracle suites", ok, el,
-           f"product mismatch {worst:.1e}; containment [{lo:.4f}, {hi:.2f}] in "
-           f"[{lo_band:.4f}, {hi_band:.2f}]; node cardinality {ok_nodes}; L_0 exact {ok_L0}")
+    ok = all(passed for passed, _ in results.values()) and el < 120.0
+    report(9, "oracle suites", ok, el, "; ".join(f"{name}: {detail}" for name, (_, detail) in results.items()))
 
 
 def test_criterion_10_determinism(tmp_path):

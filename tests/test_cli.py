@@ -71,7 +71,7 @@ def test_sweep_cache_replay(tmp_path, monkeypatch):
     run_cli(args + ["--out", str(c)])
     assert a.read_bytes() == c.read_bytes()
     # a bumped algorithm version misses every old entry and writes its own
-    monkeypatch.setattr(cli, "LEBESGUE_VERSION", cli.LEBESGUE_VERSION + "-bumped")
+    monkeypatch.setitem(cli.VERSIONS, "lebesgue", cli.VERSIONS["lebesgue"] + "-bumped")
     run_cli(args + ["--out", str(c)])
     assert len(sorted(cache.glob("lebesgue-*.json"))) == 4
     assert a.read_bytes() == c.read_bytes()
@@ -87,6 +87,11 @@ def test_sweep_cache_replay(tmp_path, monkeypatch):
         ["minmax", "--n", "0", "--rho", "n"],
         ["apweight", "--n", "4", "--window-max", "-5"],
         ["mzratio"],
+        ["lebesgue", "--n", "16", "--refine-tol", "nan"],
+        ["lebesgue", "--n", "16", "--refine-tol", "-1e-9"],
+        ["mzratio", "--n", "16", "--quad-tol", "-1e-8"],
+        ["sweep", "--n", "16", "--jobs", "0"],
+        ["minmax", "--n", "16", "--jobs", "-3"],
     ],
 )
 def test_bad_input_is_one_line_exit_2(argv):
@@ -157,18 +162,49 @@ def test_fit_affine_on_lebesgue_csv(tmp_path):
     assert doc["b"] == pytest.approx(0.1, abs=1e-6)
 
 
-def test_fit_too_few_points(tmp_path):
-    csv = tmp_path / "short.csv"
-    csv.write_text("n,p,k,R,dist\n16,2,0,1.0,0.1\n")
-    with pytest.raises(ValueError):
-        run_cli(["fit", str(csv), "--model", "power", "--out", str(tmp_path / "f.json")])
+def _fit_refused(tmp_path, capsys, text, extra=()):
+    csv = tmp_path / "in.csv"
+    if text is not None:
+        csv.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["fit", str(csv), "--model", "power", "--out", str(tmp_path / "f.json"), *extra])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("lshapearc fit: error: ")
 
 
-def test_verify_negative_control():
+def test_fit_too_few_points(tmp_path, capsys):
+    _fit_refused(tmp_path, capsys, "n,p,k,R,dist\n16,2,0,1.0,0.1\n")
+
+
+_ROWS = "16,2,0,1.0,0.1\n32,2,0,2.0,0.1\n64,2,0,3.0,0.1\n"
+
+
+@pytest.mark.parametrize(
+    "text, extra",
+    [
+        ("n,p,k,R,dist\n16,2,0,1.0,0.1\n32,2,0,x,0.1\n64,2,0,3.0,0.1\n", ()),
+        ("n,p,k,R,dist\n" + _ROWS, ("--value-col", "Q")),
+        (None, ()),
+        ("n,p,k,S,dist\n" + _ROWS, ()),
+        ("deg,p,k,R,dist\n" + _ROWS, ()),
+    ],
+    ids=["non_numeric_cell", "unknown_value_col", "missing_file", "no_known_value_col", "no_n_col"],
+)
+def test_fit_bad_input_is_one_line_exit_2(tmp_path, capsys, text, extra):
+    _fit_refused(tmp_path, capsys, text, extra)
+
+
+def test_verify_negative_control(tmp_path):
     ok, _ = _check_endpoint(flip_branch=False)
     assert ok
     ok, _ = _check_endpoint(flip_branch=True)
     assert not ok
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--debug-flip-branch", "--out", str(out)]) == 1
+    lines = out.read_text().splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("FAIL")] == ["endpoint_identity"]
+    assert lines[-1] == "20/21 invariant checks passed"
 
 
 def test_cli_entrypoint_runs():

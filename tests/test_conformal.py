@@ -17,14 +17,6 @@ from lshapearc.conformal import (
     psi_prime,
 )
 
-ENDPOINT = ENDPOINT_RADIUS * np.exp(3j * np.pi / 4.0)
-
-
-def test_endpoint_identity():
-    assert abs(psi(np.exp(2j * np.pi / 3.0)) - ENDPOINT) < 1e-12
-    assert abs(psi(np.exp(-2j * np.pi / 3.0)) - np.conj(ENDPOINT)) < 1e-12
-
-
 def test_zeros_at_pm_one():
     assert psi(1.0 + 0j) == 0
     assert psi(-1.0 + 0j) == 0
@@ -56,13 +48,6 @@ def test_domain_errors():
 
 def test_derivative_zero_at_endpoint_preimage():
     assert abs(psi_prime(np.exp(2j * np.pi / 3.0))) < 1e-12
-
-
-def test_derivative_matches_finite_difference():
-    w = 1.5 * np.exp(0.7j)
-    h = 1e-6
-    fd = (psi(w + h) - psi(w - h)) / (2.0 * h)
-    assert abs(psi_prime(w) - fd) / abs(fd) < 1e-6
 
 
 @settings(deadline=None, max_examples=200)

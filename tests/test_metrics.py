@@ -52,14 +52,6 @@ def test_grid_independence_small():
     assert abs(a - b) / b < 1e-3
 
 
-def test_witness_bounds():
-    w = lower_bound_witness(64)
-    assert w.value >= 1.0
-    assert 1.0 <= w.settings["partial_sum"] <= w.value
-    L = lebesgue_constant(build_raw(64)).value
-    assert w.value <= L + 1e-9
-
-
 def test_witness_requires_degree():
     with pytest.raises(ValueError):
         lower_bound_witness(4)
