@@ -135,9 +135,9 @@ def _minmax(cfg):
 
 
 def _apweight(cfg):
-    rec = muckenhoupt_constant(cfg["n"], cfg["p"], window_step_denom=cfg["window_step_denom"], window_max=cfg["window_max"])
-    return {"n": cfg["n"], "p": cfg["p"], "M": rec.value,
-            "step_denom": rec.settings["window_step_denom"], "window_max": rec.settings["window_max"]}
+    recs = muckenhoupt_constant(cfg["n"], cfg["ps"], window_step_denom=cfg["window_step_denom"], window_max=cfg["window_max"])
+    return [{"n": cfg["n"], "p": rec.p, "M": rec.value,
+             "step_denom": rec.settings["window_step_denom"], "window_max": rec.settings["window_max"]} for rec in recs]
 
 
 def _mzratio(cfg):
@@ -173,7 +173,7 @@ def cmd_nodes(args):
 
 
 def _sweep(args, command, configs, header, row):
-    """Run `command` over `configs` in order and emit a CSV with one row per result."""
+    """Run `command` over `configs` in order and emit a CSV: the header, then row(result) for each."""
     cache_dir = _cache_dir(args)
     results = _map_jobs(_task, [dict(c, command=command, cache_dir=cache_dir) for c in configs], args.jobs)
     _emit("\n".join([header] + [row(r) for r in results]) + "\n", args.out)
@@ -201,10 +201,12 @@ def cmd_minmax(args):
 
 
 def cmd_apweight(args):
-    configs = [{"n": n, "p": p, "window_step_denom": args.window_step_denom, "window_max": args.window_max}
-               for n in sorted(_parse_ns(args)) for p in args.p]
+    # one config per degree covers every --p; its rows come back in --p order
+    configs = [{"n": n, "ps": args.p, "window_step_denom": args.window_step_denom, "window_max": args.window_max}
+               for n in sorted(_parse_ns(args))]
     return _sweep(args, "apweight", configs, "n,p,M_n,step_denom,window_max",
-                  lambda r: f"{r['n']},{r['p']:g},{_fmt(r['M'])},{r['step_denom']},{r['window_max']}")
+                  lambda rs: "\n".join(f"{r['n']},{r['p']:g},{_fmt(r['M'])},{r['step_denom']},{r['window_max']}"
+                                       for r in rs))
 
 
 def cmd_mzratio(args):

@@ -71,13 +71,10 @@ def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64, refine_tol: float =
     table = build_derivative_table(f)
 
     knots = np.unique(np.concatenate([[-CORNER_ANGLE, CORNER_ANGLE], np.sort(f.folded)]))
-    ts = []
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b - a < 1e-14:
-            continue
-        frac = np.arange(1, grid_per_gap + 1) / (grid_per_gap + 1.0)
-        ts.append(a + (b - a) * frac)
-    ts = np.concatenate(ts)
+    gap = np.diff(knots)
+    keep = gap >= 1e-14
+    frac = np.arange(1, grid_per_gap + 1) / (grid_per_gap + 1.0)
+    ts = (knots[:-1][keep, None] + gap[keep, None] * frac).ravel()
     lam = lebesgue_function_grid(f, table, boundary_point(ts))
 
     def neg(t):
@@ -181,26 +178,24 @@ def level_minmax(n: int, convention: str = "one_over_n_plus_1"):
 # ---------------------------------------------------------------------------
 
 
-def muckenhoupt_constant(
-    n: int,
-    p: float,
-    window_step_denom: int = 128,
-    window_max: int = None,
-    family: NodeFamily = None,
-) -> MetricRecord:
-    """Discrete sup of the A_p window functional of |omega_n| on the level curve.
+def muckenhoupt_constant(n: int, ps, window_step_denom: int = 128, window_max: int = None) -> list:
+    """Discrete sups of the A_p window functional of |omega_n| on the level curve.
 
-    The level curve is stepped by pi/(window_step_denom*(n+1)) around
-    the angle t0 of minimal nodal magnitude; the sup runs over nested
-    windows centered at t0, up to window_max steps per side.  Arc-length
-    weights |z_{k+1} - z_k| discretize the integrals, and the log of the
-    magnitude is mean-centered first (the functional is scale invariant)
-    to keep the powers representable.
+    Returns one record per exponent in ps, in the order of ps: the
+    window does not depend on p, so it is evaluated once for all of them.
+    The window centre t0 is the first index of the argmin of the coarse
+    level scan; its conjugate mirror -t0 ties up to rounding and gives
+    M_n values up to 0.3% apart.  The level curve of the raw family is
+    stepped by pi/(window_step_denom*(n+1)) around t0; the sup runs over
+    nested windows centered at t0, up to window_max steps per side.
+    Arc-length weights |z_{k+1} - z_k| discretize the integrals, and the
+    log of the magnitude is mean-centered first (the functional is scale
+    invariant) to keep the powers representable.
     """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    q = p / (p - 1.0)
-    fam = family if family is not None else build_raw(n)
+    ps = list(ps)
+    if not ps or min(ps) <= 1:
+        raise ValueError("need at least one exponent, each exceeding 1")
+    fam = build_raw(n)
     curve = LevelCurve(n)
     coarse, lw = _level_scan(fam.points, curve)
     t0 = float(coarse[np.argmin(lw)])
@@ -213,32 +208,24 @@ def muckenhoupt_constant(
     lv = log_abs_omega(fam.points, zs)
     w = np.abs(np.diff(zs))
     lv = lv[:-1] - lv[:-1].mean()
-
-    with np.errstate(over="ignore"):
-        cp = np.concatenate([[0.0], np.cumsum(w * np.exp(p * lv))])
-        cq = np.concatenate([[0.0], np.cumsum(w * np.exp(-q * lv))])
     cw = np.concatenate([[0.0], np.cumsum(w)])
 
     # nested windows m = 1..m_max steps per side; the sup starts at 1 and,
     # like max(best, val), skips NaN windows
     lo, hi = m_max - np.arange(1, m_max + 1), m_max + np.arange(1, m_max + 1)
     length = cw[hi] - cw[lo]
-    with np.errstate(invalid="ignore", over="ignore"):
-        val = ((cp[hi] - cp[lo]) / length) ** (1.0 / p) * ((cq[hi] - cq[lo]) / length) ** (1.0 / q)
-    best = float(np.fmax.reduce(val, initial=1.0))
-    return MetricRecord(
-        "muckenhoupt_constant",
-        n,
-        fam.kind,
-        best,
-        p=p,
-        location=t0,
-        settings={
-            "window_step_denom": window_step_denom,
-            "window_max": m_max,
-            "rho_convention": curve.convention,
-        },
-    )
+    settings = {"window_step_denom": window_step_denom, "window_max": m_max, "rho_convention": curve.convention}
+    records = []
+    for p in ps:
+        q = p / (p - 1.0)
+        with np.errstate(over="ignore"):
+            cp = np.concatenate([[0.0], np.cumsum(w * np.exp(p * lv))])
+            cq = np.concatenate([[0.0], np.cumsum(w * np.exp(-q * lv))])
+        with np.errstate(invalid="ignore", over="ignore"):
+            val = ((cp[hi] - cp[lo]) / length) ** (1.0 / p) * ((cq[hi] - cq[lo]) / length) ** (1.0 / q)
+        best = float(np.fmax.reduce(val, initial=1.0))
+        records.append(MetricRecord("muckenhoupt_constant", n, fam.kind, best, p=p, location=t0, settings=dict(settings)))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +367,8 @@ def fit_growth(records, model: str) -> FitResult:
     n_range = (int(ns.min()), int(ns.max()))
 
     if model == "affine_in_logn":
+        if ns.min() < 2:
+            raise ValueError(f"affine_in_logn divides by log(n) and needs n >= 2, got n = {int(ns.min())}")
         x = np.log(ns)
         y, beta = vals / x, None
     elif model == "power_law":

@@ -208,7 +208,7 @@ def _check_witness_bounds():
 
 
 def _check_muckenhoupt_floor():
-    vals = [muckenhoupt_constant(16, p).value for p in (2.0, 4.0)]
+    vals = [rec.value for rec in muckenhoupt_constant(16, (2.0, 4.0))]
     ok = all(v >= 1.0 - 1e-9 for v in vals)
     return ok, f"M_16 values {[round(v, 3) for v in vals]}"
 

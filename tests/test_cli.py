@@ -195,6 +195,43 @@ def test_fit_bad_input_is_one_line_exit_2(tmp_path, capsys, text, extra):
     _fit_refused(tmp_path, capsys, text, extra)
 
 
+def test_fit_affine_refuses_degree_zero_before_any_log(tmp_path):
+    # LAPACK warnings go straight to file descriptor 2, so run a subprocess
+    csv = tmp_path / "lb.csv"
+    rows = ["n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol", "0,adjusted,1.000000,nan,0.0,64,1e-09"]
+    rows += [f"{n},adjusted,{n:.6f},1.0,0.0,64,1e-09" for n in (16, 32, 64)]
+    csv.write_text("\n".join(rows) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lshapearc.cli", "fit", str(csv), "--model", "affine"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr.startswith("lshapearc fit: error: ") and "n = 0" in proc.stderr
+
+
+def test_apweight_cache_one_entry_per_degree(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ["apweight", "--list", "16,32", "--p", "2,4", "--cache-dir", str(cache)]
+    run_cli(args + ["--out", str(a)])
+    entries = sorted(cache.glob("apweight-*.json"))
+    assert len(entries) == 2
+    stamps = [e.stat().st_mtime_ns for e in entries]
+    run_cli(args + ["--out", str(b)])
+    assert sorted(cache.glob("apweight-*.json")) == entries
+    assert [e.stat().st_mtime_ns for e in entries] == stamps
+    assert a.read_bytes() == b.read_bytes()
+    assert len(a.read_text().splitlines()) == 5
+    # a bumped algorithm version misses both entries and writes its own
+    monkeypatch.setitem(cli.VERSIONS, "apweight", cli.VERSIONS["apweight"] + "-bumped")
+    run_cli(args + ["--out", str(b)])
+    assert len(sorted(cache.glob("apweight-*.json"))) == 4
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_verify_negative_control(tmp_path):
     ok, _ = _check_endpoint(flip_branch=False)
     assert ok

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lshapearc import metrics
 from lshapearc.conformal import LevelCurve, arc_length, dist_to_level, level_point
 from lshapearc.families import build_adjusted, build_raw
 from lshapearc.metrics import (
@@ -65,15 +66,15 @@ def test_level_minmax_n16():
 
 
 def test_muckenhoupt_n16():
-    rec = muckenhoupt_constant(16, 2.0)
+    (rec,) = muckenhoupt_constant(16, [2.0])
     assert abs(rec.value - 1.59) / 1.59 < 0.15
     assert rec.value >= 1.0
 
 
 def test_muckenhoupt_monotone_in_window_max():
-    small = muckenhoupt_constant(16, 2.0, window_max=64).value
-    big = muckenhoupt_constant(16, 2.0, window_max=512).value
-    assert big >= small - 1e-12
+    (small,) = muckenhoupt_constant(16, [2.0], window_max=64)
+    (big,) = muckenhoupt_constant(16, [2.0], window_max=512)
+    assert big.value >= small.value - 1e-12
 
 
 def _window_sup_loop(n, p, t0, m_max):
@@ -98,16 +99,45 @@ def _window_sup_loop(n, p, t0, m_max):
 @pytest.mark.parametrize("n", [16, 33])
 @pytest.mark.parametrize("p", [2.0, 4.0, 8.0])
 def test_muckenhoupt_matches_window_loop(n, p):
-    rec = muckenhoupt_constant(n, p, window_max=300)
+    # one call per degree covers all three exponents; check the record for p
+    ps = (2.0, 4.0, 8.0)
+    rec = muckenhoupt_constant(n, ps, window_max=300)[ps.index(p)]
+    assert rec.p == p
     ref = _window_sup_loop(n, p, rec.location, rec.settings["window_max"])
     # the loop sums each window directly instead of differencing cumsums
     assert rec.value == pytest.approx(ref, rel=1e-12)
-    assert muckenhoupt_constant(n, p, window_max=0).value == 1.0
+    assert [r.value for r in muckenhoupt_constant(n, ps, window_max=0)] == [1.0, 1.0, 1.0]
+
+
+def test_muckenhoupt_records_follow_ps_and_match_single_calls():
+    ps = (8.0, 2.0, 1.5)
+    recs = muckenhoupt_constant(33, ps, window_max=300)
+    assert [rec.p for rec in recs] == list(ps)
+    for p, rec in zip(ps, recs):
+        (single,) = muckenhoupt_constant(33, [p], window_max=300)
+        assert rec.value.hex() == single.value.hex()
+        assert rec.location.hex() == single.location.hex()
+        assert rec.settings == single.settings
+
+
+@pytest.mark.parametrize("ps", [[2.0], [8.0, 2.0, 1.5, 4.0, 3.0]])
+def test_muckenhoupt_one_scan_and_one_window_for_all_ps(monkeypatch, ps):
+    calls = []
+    real = metrics.log_abs_omega
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(metrics, "log_abs_omega", counted)
+    assert len(muckenhoupt_constant(16, ps, window_max=64)) == len(ps)
+    assert len(calls) == 2  # the level scan and the window
 
 
 def test_muckenhoupt_domain_error():
-    with pytest.raises(ValueError):
-        muckenhoupt_constant(16, 1.0)
+    for ps in ([1.0], [], [2.0, 1.0]):
+        with pytest.raises(ValueError):
+            muckenhoupt_constant(16, ps)
 
 
 def test_mz_ratio_degree_zero():
@@ -148,3 +178,5 @@ def test_fit_errors():
         fit_growth([(16, 1.0), (32, 2.0)], "power_law")
     with pytest.raises(ValueError):
         fit_growth([(16, 1.0), (32, 2.0), (64, 3.0)], "parabola")
+    with pytest.raises(ValueError, match="n = 1"):
+        fit_growth([(1, 1.0), (16, 2.0), (32, 3.0)], "affine_in_logn")
