@@ -8,13 +8,11 @@ fits.
 """
 
 from .conformal import (
-    ArcPoint,
     CORNER_ANGLE,
     ENDPOINT_RADIUS,
     LevelCurve,
     arc_length,
-    arc_measure_weight,
-    arc_point,
+    arm_point,
     boundary_point,
     dist_to_level,
     level_point,

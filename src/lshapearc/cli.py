@@ -111,7 +111,7 @@ def _map_jobs(fn, tasks, jobs):
 
 
 def _build(n, family_kind):
-    return build_adjusted(n) if family_kind == "adjusted" and n > 0 else build_raw(n)
+    return build_adjusted(n) if family_kind == "adjusted" else build_raw(n)
 
 
 # bump a command's algorithm version whenever its numbers may change
@@ -304,8 +304,8 @@ def _checked(parse, ok, what):
 _DEGREE = _checked(int, lambda n: n >= 0, "a nonnegative integer")
 _DEGREES = _checked(lambda s: [int(x) for x in s.split(",")], lambda ns: min(ns) >= 0,
                     "comma-separated nonnegative integers")
-_SWEEP = _checked(lambda s: [int(x) for x in s.split("..")], lambda ks: len(ks) == 2 and ks[0] >= 0,
-                  "k0..k1 with integers 0 <= k0")
+_SWEEP = _checked(lambda s: [int(x) for x in s.split("..")], lambda ks: len(ks) == 2 and 0 <= ks[0] <= ks[1],
+                  "k0..k1 with integers 0 <= k0 <= k1")
 _POSITIVE = _checked(int, lambda m: m >= 1, "a positive integer")
 _EXPONENT = _checked(float, lambda p: p > 1, "an exponent > 1")
 _EXPONENTS = _checked(lambda s: [float(x) for x in s.split(",")], lambda ps: min(ps) > 1,

@@ -1,9 +1,9 @@
 """Exterior conformal map of the L-shape arc and level-curve geometry.
 
-The arc Gamma is the union of two equal line segments meeting at a right
-angle at the origin, with endpoints 27^(1/4)*exp(+-i*3pi/4).  The map
-psi sends the exterior of the unit disk onto the complement of Gamma,
-fixing infinity, with psi(w)/w -> 1 as |w| -> oo.
+The arc Gamma is the union of two equal line segments (arms) meeting at
+a right angle at the origin; `arm_point` parametrises them.  The map psi
+sends the exterior of the unit disk onto the complement of Gamma, fixing
+infinity, with psi(w)/w -> 1 as |w| -> oo.
 """
 
 from dataclasses import dataclass
@@ -68,29 +68,15 @@ def boundary_point(t):
     return psi(np.exp(1j * t))
 
 
-@dataclass(frozen=True)
-class ArcPoint:
-    """A point of Gamma by segment and by fraction of length from the corner."""
+def arm_point(sign, s):
+    """Point of Gamma on the arm with sign +-1 at fraction s of its length from the corner.
 
-    branch: str  # "upper" or "lower"
-    s: float  # in [0, 1]
-
-    def __post_init__(self):
-        if self.branch not in ("upper", "lower"):
-            raise ValueError(f"unknown branch {self.branch!r}")
-        if not 0.0 <= self.s <= 1.0:
-            raise ValueError("s must lie in [0, 1]")
-
-
-def arc_point(a: ArcPoint) -> complex:
-    """Map an ArcPoint to the plane: 27^(1/4) * e^{+-i*3pi/4} * s."""
-    sign = 1.0 if a.branch == "upper" else -1.0
-    return ENDPOINT_RADIUS * np.exp(sign * 3j * np.pi / 4.0) * a.s
-
-
-def arc_measure_weight() -> float:
-    """|dz/ds| of the per-segment parameterization (constant 27^(1/4))."""
-    return ENDPOINT_RADIUS
+    27^(1/4) * e^{sign*i*3pi/4} * s: the upper arm (sign +1) ends at
+    boundary_point(2pi/3), the lower one at its conjugate, and |dz/ds| is
+    27^(1/4) on both.  Scalar s gives a complex scalar, an array of s an
+    array.
+    """
+    return ENDPOINT_RADIUS * np.exp(sign * 3j * np.pi / 4.0) * s
 
 
 def arc_length() -> float:

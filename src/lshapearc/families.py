@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import CORNER_ANGLE, LevelCurve, psi
+from .conformal import CORNER_ANGLE, LevelCurve, boundary_point, level_point
 from .fold import fold_closed_form, unfold
 
 _CLASSIFY_TOL = 1e-12
@@ -36,17 +36,21 @@ def theta_grid(n: int) -> np.ndarray:
         pos = (2.0 * k + 1.0) * np.pi / (n + 1)
     th = np.empty(n + 1)
     th[: m + 1] = pos
-    kk = np.arange(m + 1, n + 1)
-    th[m + 1 :] = -th[2 * m + 1 - kk]
+    th[m + 1 :] = -th[mirror_index(n, np.arange(m + 1, n + 1))]
     return th
 
 
-def mirror_index(n: int, k: int) -> int:
-    """Index of the angle-negated partner of node k (k itself at angle 0)."""
+def mirror_index(n: int, k):
+    """Index of the angle-negated partner of node k (k itself at angle 0).
+
+    k may be an integer or an integer array; the result has the same kind.
+    """
+    k = np.asarray(k)
     m = n // 2
-    if n % 2 == 0 and k == 0:
-        return 0
-    return 2 * m + 1 - k
+    mk = 2 * m + 1 - k
+    if n % 2 == 0:
+        mk = np.where(k == 0, 0, mk)
+    return int(mk) if mk.ndim == 0 else mk
 
 
 @dataclass
@@ -83,7 +87,7 @@ def build_raw(n: int) -> NodeFamily:
         kind="raw",
         angles=th,
         folded=_fold_angles(th),
-        points=psi(np.exp(1j * th)),
+        points=boundary_point(th),
     )
 
 
@@ -121,9 +125,7 @@ def build_adjusted(n: int) -> NodeFamily:
         folded[js] = new_j
         pairs = [(int(a), int(b)) for a, b in zip(ks, js)]
         moved = np.concatenate([ks, js])
-        mi = 2 * m + 1 - moved
-        if n % 2 == 0:
-            mi = np.where(moved == 0, 0, mi)
+        mi = mirror_index(n, moved)
         th[mi] = -th[moved]
         folded[mi] = -folded[moved]
     fam = NodeFamily(
@@ -131,7 +133,7 @@ def build_adjusted(n: int) -> NodeFamily:
         kind="adjusted",
         angles=th,
         folded=folded,
-        points=psi(np.exp(1j * th)),
+        points=boundary_point(th),
         adjusted_pairs=pairs,
     )
     if pairs and separation_margin(fam) < 2.0 * np.pi / 3.0 - 1e-9 * (n + 1):
@@ -194,4 +196,4 @@ class LevelNodes:
 def build_level_nodes(n: int, convention: str = "one_over_n_plus_1") -> LevelNodes:
     curve = LevelCurve(n, convention)
     th = theta_grid(n)
-    return LevelNodes(n=n, curve=curve, points=psi(curve.rho * np.exp(1j * th)))
+    return LevelNodes(n=n, curve=curve, points=level_point(curve, th))

@@ -11,6 +11,7 @@ from .conformal import (
     CORNER_ANGLE,
     ENDPOINT_RADIUS,
     LevelCurve,
+    arm_point,
     boundary_point,
     dist_to_level,
     level_point,
@@ -257,17 +258,17 @@ def mz_ratio(
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    fam = family if family is not None else (build_adjusted(n) if n > 0 else build_raw(0))
+    fam = family if family is not None else build_adjusted(n)
     if table is None:
         table = build_derivative_table(fam)
     if k is None:
-        k = 0 if n == 0 else choose_ratio_index(n, fam)
+        k = choose_ratio_index(n, fam)
     pts = fam.points
     log_dk = table.logs[k]
 
     total = 0.0
     for sgn in (1.0, -1.0):
-        direction = ENDPOINT_RADIUS * np.exp(sgn * 3j * np.pi / 4.0)
+        direction = arm_point(sgn, 1.0)
         spos = np.abs(pts[np.sign(fam.folded) == sgn]) / ENDPOINT_RADIUS
         breaks = np.unique(np.concatenate([[0.0, 1.0], spos]))
 
@@ -307,7 +308,7 @@ def mz_ratio_worst(n: int, p: float, k_subset, quad_tol: float = 1e-8) -> Metric
     k_subset = list(k_subset)
     if not k_subset:
         raise ValueError("k_subset must be nonempty")
-    fam = build_adjusted(n) if n > 0 else build_raw(0)
+    fam = build_adjusted(n)
     table = build_derivative_table(fam)
     best = None
     for k in k_subset:

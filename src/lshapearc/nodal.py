@@ -51,7 +51,6 @@ def log_abs_omega(nodes, z):
 class DerivativeTable:
     """Per-node log|omega'(node_k)| = sum over j != k of log|node_k - node_j|."""
 
-    family: NodeFamily
     logs: np.ndarray
 
 
@@ -64,7 +63,7 @@ def build_derivative_table(f: NodeFamily) -> DerivativeTable:
             raise ValueError(f"duplicate nodes at indices {rows.start + i} and {j}")
         return ld.sum(axis=1)
 
-    return DerivativeTable(family=f, logs=_pair_logs(f.points, f.points, skip_diagonal))
+    return DerivativeTable(logs=_pair_logs(f.points, f.points, skip_diagonal))
 
 
 def _lebesgue_sums(logs, upto=None):

@@ -7,7 +7,7 @@ all randomness is drawn from fixed-seed generators.
 import numpy as np
 
 from . import fold
-from .conformal import CORNER_ANGLE, ENDPOINT_RADIUS, boundary_point, psi, psi_prime
+from .conformal import CORNER_ANGLE, arm_point, boundary_point, psi, psi_prime
 from .families import build_adjusted, build_raw, build_level_nodes, k1_k2_locate, separation_margin, theta_grid
 from .metrics import (
     lebesgue_constant,
@@ -22,7 +22,7 @@ from .nodal import (
     log_abs_omega,
 )
 
-ENDPOINT = ENDPOINT_RADIUS * np.exp(3j * np.pi / 4.0)
+ENDPOINT = arm_point(1.0, 1.0)
 
 # numeric containment band for the level-node product at rho = 1 + 1/n
 OMEGA_STAR_LO = np.exp(-3.0) * (np.e - 1.0) ** 2

@@ -28,6 +28,13 @@ def test_nodes_n2_trivial(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["adjusted_pairs"] == []
     assert len(doc["points"]) == 3
+    # at n = 0 the adjusted family is the raw grid, reported as adjusted
+    raw = tmp_path / "raw0.json"
+    run_cli(["nodes", "--n", "0", "--out", str(out)])
+    run_cli(["nodes", "--n", "0", "--family", "raw", "--out", str(raw)])
+    doc, raw_doc = json.loads(out.read_text()), json.loads(raw.read_text())
+    assert doc["family"] == "adjusted" and raw_doc["family"] == "raw"
+    assert doc["points"] == raw_doc["points"] and doc["angles"] == raw_doc["angles"]
 
 
 def test_nodes_rerun_byte_identical(tmp_path):
@@ -92,6 +99,7 @@ def test_sweep_cache_replay(tmp_path, monkeypatch):
         ["mzratio", "--n", "16", "--quad-tol", "-1e-8"],
         ["sweep", "--n", "16", "--jobs", "0"],
         ["minmax", "--n", "16", "--jobs", "-3"],
+        ["sweep", "--sweep", "3..2"],
     ],
 )
 def test_bad_input_is_one_line_exit_2(argv):

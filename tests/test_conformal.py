@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lshapearc.conformal import (
-    ArcPoint,
     CORNER_ANGLE,
     ENDPOINT_RADIUS,
     LevelCurve,
     arc_length,
-    arc_measure_weight,
-    arc_point,
+    arm_point,
     boundary_point,
     dist_to_level,
     level_point,
@@ -74,15 +72,15 @@ def test_boundary_point_values():
     assert abs(boundary_point(0.0)) == 0.0
 
 
-def test_arc_point():
-    assert abs(arc_point(ArcPoint("upper", 1.0)) - psi(np.exp(2j * np.pi / 3.0))) < 1e-12
-    assert arc_point(ArcPoint("upper", 0.0)) == 0
+def test_arm_point():
+    for sign in (1.0, -1.0):
+        assert abs(arm_point(sign, 1.0) - boundary_point(sign * 2.0 * np.pi / 3.0)) < 1e-12
+        assert arm_point(sign, 0.0) == 0
+        s = np.linspace(0.0, 1.0, 7)
+        zs = arm_point(sign, s)
+        assert isinstance(zs, np.ndarray) and zs.shape == s.shape
+        assert np.array_equal(zs, [arm_point(sign, float(x)) for x in s])
     assert abs(arc_length() - 2.0 * 27.0**0.25) < 1e-14
-    assert arc_measure_weight() == 27.0**0.25
-    with pytest.raises(ValueError):
-        ArcPoint("upper", 1.5)
-    with pytest.raises(ValueError):
-        ArcPoint("sideways", 0.5)
 
 
 def test_level_curve_conventions():

@@ -52,6 +52,11 @@ def test_raw_points_conjugate_symmetric():
     for k in range(41):
         mk = mirror_index(40, k)
         assert fam.points[k] == pytest.approx(np.conj(fam.points[mk]), abs=1e-12)
+    for n in (40, 41):
+        ks = np.arange(n + 1)
+        mk = mirror_index(n, ks)
+        assert mk.tolist() == [mirror_index(n, int(k)) for k in ks]
+        assert np.array_equal(mirror_index(n, mk), ks)
 
 
 def test_raw_n2_hits_corner_and_endpoints():
