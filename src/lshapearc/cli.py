@@ -31,8 +31,6 @@ CACHE_ENV_VAR = "LSHAPEARC_CACHE_DIR"
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
     v = float(v)
     if v != v:
         return "nan"
@@ -118,8 +116,8 @@ def _build(n, family_kind):
 VERSIONS = {
     "lebesgue": "1",
     "minmax": "1",
-    "apweight": "2",  # 2: vectorised window sup, M_n can move by an ulp
-    "mzratio": "2",  # 2: bisection unfold seeds the level-curve distance
+    "apweight": "3",  # 3: window centred at |t0|, q-power sums shifted to stay finite
+    "mzratio": "3",  # 3: ratio index nearest the level minimum at |t0|
 }
 
 
@@ -135,7 +133,7 @@ def _minmax(cfg):
 
 
 def _apweight(cfg):
-    recs = muckenhoupt_constant(cfg["n"], cfg["ps"], window_step_denom=cfg["window_step_denom"], window_max=cfg["window_max"])
+    recs = muckenhoupt_constant(cfg["n"], cfg["ps"], window_max=cfg["window_max"])
     return [{"n": cfg["n"], "p": rec.p, "M": rec.value,
              "step_denom": rec.settings["window_step_denom"], "window_max": rec.settings["window_max"]} for rec in recs]
 
@@ -202,8 +200,7 @@ def cmd_minmax(args):
 
 def cmd_apweight(args):
     # one config per degree covers every --p; its rows come back in --p order
-    configs = [{"n": n, "ps": args.p, "window_step_denom": args.window_step_denom, "window_max": args.window_max}
-               for n in sorted(_parse_ns(args))]
+    configs = [{"n": n, "ps": args.p, "window_max": args.window_max} for n in sorted(_parse_ns(args))]
     return _sweep(args, "apweight", configs, "n,p,M_n,step_denom,window_max",
                   lambda rs: "\n".join(f"{r['n']},{r['p']:g},{_fmt(r['M'])},{r['step_denom']},{r['window_max']}"
                                        for r in rs))
@@ -349,7 +346,6 @@ def build_parser():
     sp = sub.add_parser("apweight", help="Muckenhoupt A_p constants (CSV)")
     _add_common(sp)
     sp.add_argument("--p", type=_EXPONENTS, default="2", help="comma-separated exponents > 1")
-    sp.add_argument("--window-step-denom", type=_POSITIVE, default=128)
     sp.add_argument("--window-max", type=_POSITIVE, default=None)
     sp.set_defaults(func=cmd_apweight)
 
@@ -376,7 +372,9 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # refused in the subcommand's name, as its other errors are
+        _refuse(f"lshapearc {args.command}", f"unrecognized arguments: {' '.join(extra)}")
     return args.func(args)
 
 

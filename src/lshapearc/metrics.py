@@ -57,16 +57,21 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
+def _polish(g, t, v, lo, hi, xatol):
+    """(value, location) of the bounded-Brent minimum of g on [lo, hi], or
+    of the grid sample v = g(t) unless the minimum is strictly below it."""
+    res = minimize_scalar(g, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return (float(res.fun), float(res.x)) if res.fun < v else (float(v), float(t))
+
+
 def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64, refine_tol: float = 1e-9) -> MetricRecord:
     """Max of the Lebesgue function over the arc.
 
     Samples grid_per_gap points inside every folded-angle gap (covering
-    both sheets through the folded coordinate), then golden-section
-    refines around the five best samples.
+    both sheets through the folded coordinate), then polishes the five
+    best samples within two grid steps.
     """
     settings = {"grid_per_gap": grid_per_gap, "refine_tol": refine_tol}
-    if f.n == 0:
-        return MetricRecord("lebesgue_constant", 0, f.kind, 1.0, location=float(f.folded[0]), settings=settings)
     if grid_per_gap < 8:
         raise ValueError("grid_per_gap must be >= 8")
     table = build_derivative_table(f)
@@ -82,20 +87,12 @@ def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64, refine_tol: float =
         return -lebesgue_function(f, table, complex(boundary_point(t)))
 
     best_val, best_t = 1.0, float(f.folded[0])
-    order = np.argsort(lam)[::-1][:5]
-    span = knots[-1] - knots[0]
-    h = span / len(ts)
-    for i in order:
-        res = minimize_scalar(
-            neg,
-            bounds=(max(ts[i] - 2 * h, -CORNER_ANGLE), min(ts[i] + 2 * h, CORNER_ANGLE)),
-            method="bounded",
-            options={"xatol": refine_tol},
-        )
-        cand = max(-float(res.fun), float(lam[i]))
-        if cand > best_val:
-            best_val = cand
-            best_t = float(res.x) if -res.fun >= lam[i] else float(ts[i])
+    h = (knots[-1] - knots[0]) / len(ts)
+    for i in np.argsort(lam)[::-1][:5]:
+        lo, hi = max(ts[i] - 2 * h, -CORNER_ANGLE), min(ts[i] + 2 * h, CORNER_ANGLE)
+        v, t = _polish(neg, ts[i], -lam[i], lo, hi, refine_tol)
+        if -v > best_val:
+            best_val, best_t = -v, t
     return MetricRecord("lebesgue_constant", f.n, f.kind, best_val, location=best_t, settings=settings)
 
 
@@ -143,8 +140,8 @@ def _level_scan(points, curve: LevelCurve):
 def level_minmax(n: int, convention: str = "one_over_n_plus_1"):
     """Min and max of the raw-family nodal magnitude over the level curve.
 
-    Uniform angle sampling with local refinement at both extremal
-    candidates.  Returns a (min_record, max_record) pair.
+    Uniform angle sampling, then `_polish` at both extremal samples.
+    Returns a (min_record, max_record) pair.
     """
     fam = build_raw(n)
     curve = LevelCurve(n, convention)
@@ -153,24 +150,14 @@ def level_minmax(n: int, convention: str = "one_over_n_plus_1"):
 
     imin, imax = int(np.argmin(lw)), int(np.argmax(lw))
 
-    def refine_log(i, want_min):
-        sgn = 1.0 if want_min else -1.0
+    def log_omega(t):
+        return log_abs_omega(fam.points, complex(level_point(curve, t)))
 
-        def g(t):
-            return sgn * log_abs_omega(fam.points, complex(level_point(curve, t)))
-
-        res = minimize_scalar(
-            g, bounds=(tg[i] - h, tg[i] + h), method="bounded", options={"xatol": 1e-12}
-        )
-        val = sgn * float(res.fun)
-        better = val < lw[i] if want_min else val > lw[i]
-        return (val, float(res.x)) if better else (float(lw[i]), float(tg[i]))
-
-    lw_min, t_min = refine_log(imin, True)
-    lw_max, t_max = refine_log(imax, False)
+    lw_min, t_min = _polish(log_omega, tg[imin], lw[imin], tg[imin] - h, tg[imin] + h, 1e-12)
+    neg_max, t_max = _polish(lambda t: -log_omega(t), tg[imax], -lw[imax], tg[imax] - h, tg[imax] + h, 1e-12)
     settings = {"samples": len(tg), "rho_convention": convention}
     rec_min = MetricRecord("level_min", n, fam.kind, float(np.exp(lw_min)), location=t_min, settings=settings)
-    rec_max = MetricRecord("level_max", n, fam.kind, float(np.exp(lw_max)), location=t_max, settings=settings)
+    rec_max = MetricRecord("level_max", n, fam.kind, float(np.exp(-neg_max)), location=t_max, settings=settings)
     return rec_min, rec_max
 
 
@@ -179,19 +166,25 @@ def level_minmax(n: int, convention: str = "one_over_n_plus_1"):
 # ---------------------------------------------------------------------------
 
 
-def muckenhoupt_constant(n: int, ps, window_step_denom: int = 128, window_max: int = None) -> list:
+WINDOW_STEP_DENOM = 128  # window step pi/(128(n+1)) on the level curve
+
+
+def muckenhoupt_constant(n: int, ps, window_max: int = None) -> list:
     """Discrete sups of the A_p window functional of |omega_n| on the level curve.
 
     Returns one record per exponent in ps, in the order of ps: the
     window does not depend on p, so it is evaluated once for all of them.
-    The window centre t0 is the first index of the argmin of the coarse
-    level scan; its conjugate mirror -t0 ties up to rounding and gives
-    M_n values up to 0.3% apart.  The level curve of the raw family is
-    stepped by pi/(window_step_denom*(n+1)) around t0; the sup runs over
-    nested windows centered at t0, up to window_max steps per side.
-    Arc-length weights |z_{k+1} - z_k| discretize the integrals, and the
-    log of the magnitude is mean-centered first (the functional is scale
-    invariant) to keep the powers representable.
+    The window centre t0 is |t| for the argmin t of the coarse level
+    scan: the raw nodes are conjugate-symmetric, so the minimum comes as
+    a pair +-t0 that ties up to rounding, and the centre must not depend
+    on which twin rounding makes smaller.  The level curve of the raw
+    family is stepped by pi/(WINDOW_STEP_DENOM*(n+1)) around t0; the sup
+    runs over nested windows centered at t0, up to window_max steps per
+    side.  Arc-length weights |z_{k+1} - z_k| discretize the integrals,
+    and the log of the magnitude is mean-centered first (the functional
+    is scale invariant) to keep the powers representable; the q-power
+    sums are taken relative to the smallest magnitude, so that they
+    cannot overflow as p approaches 1.
     """
     ps = list(ps)
     if not ps or min(ps) <= 1:
@@ -199,10 +192,10 @@ def muckenhoupt_constant(n: int, ps, window_step_denom: int = 128, window_max: i
     fam = build_raw(n)
     curve = LevelCurve(n)
     coarse, lw = _level_scan(fam.points, curve)
-    t0 = float(coarse[np.argmin(lw)])
+    t0 = abs(float(coarse[np.argmin(lw)]))
 
-    step = np.pi / (window_step_denom * (n + 1))
-    cap = min(8192, window_step_denom * (n + 1) // 2)
+    step = np.pi / (WINDOW_STEP_DENOM * (n + 1))
+    cap = min(8192, WINDOW_STEP_DENOM * (n + 1) // 2)
     m_max = cap if window_max is None else min(window_max, cap)
     k = np.arange(-m_max, m_max + 2)
     zs = level_point(curve, t0 + k * step)
@@ -215,16 +208,17 @@ def muckenhoupt_constant(n: int, ps, window_step_denom: int = 128, window_max: i
     # like max(best, val), skips NaN windows
     lo, hi = m_max - np.arange(1, m_max + 1), m_max + np.arange(1, m_max + 1)
     length = cw[hi] - cw[lo]
-    settings = {"window_step_denom": window_step_denom, "window_max": m_max, "rho_convention": curve.convention}
+    settings = {"window_step_denom": WINDOW_STEP_DENOM, "window_max": m_max, "rho_convention": curve.convention}
+    low = lv.min()
     records = []
     for p in ps:
         q = p / (p - 1.0)
         with np.errstate(over="ignore"):
             cp = np.concatenate([[0.0], np.cumsum(w * np.exp(p * lv))])
-            cq = np.concatenate([[0.0], np.cumsum(w * np.exp(-q * lv))])
+        cq = np.concatenate([[0.0], np.cumsum(w * np.exp(-q * (lv - low)))])
         with np.errstate(invalid="ignore", over="ignore"):
             val = ((cp[hi] - cp[lo]) / length) ** (1.0 / p) * ((cq[hi] - cq[lo]) / length) ** (1.0 / q)
-        best = float(np.fmax.reduce(val, initial=1.0))
+        best = float(np.fmax.reduce(val * np.exp(-low), initial=1.0))
         records.append(MetricRecord("muckenhoupt_constant", n, fam.kind, best, p=p, location=t0, settings=dict(settings)))
     return records
 
@@ -235,10 +229,14 @@ def muckenhoupt_constant(n: int, ps, window_step_denom: int = 128, window_max: i
 
 
 def choose_ratio_index(n: int, family: NodeFamily) -> int:
-    """Node index nearest the level-curve minimum of the nodal magnitude."""
+    """Node index nearest the level-curve minimum of the nodal magnitude.
+
+    The minimum is taken at the angle |t| for the scan's argmin t, as the
+    A_p window centre is.
+    """
     curve = LevelCurve(n)
     tg, lw = _level_scan(family.points, curve)
-    zmin = complex(level_point(curve, float(tg[np.argmin(lw)])))
+    zmin = complex(level_point(curve, abs(float(tg[np.argmin(lw)]))))
     return int(np.argmin(np.abs(family.points - zmin)))
 
 
@@ -336,18 +334,6 @@ def separation_ok(n: int, family: NodeFamily, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _extract(records):
-    ns, vals = [], []
-    for r in records:
-        if isinstance(r, MetricRecord):
-            ns.append(r.n)
-            vals.append(r.value)
-        else:
-            ns.append(r[0])
-            vals.append(r[1])
-    return np.asarray(ns, dtype=float), np.asarray(vals, dtype=float)
-
-
 def _affine_lstsq(x, y):
     """Least-squares (a, b) of y ~ a + b*x, and the residuals."""
     design = np.column_stack([np.ones_like(x), x])
@@ -362,7 +348,7 @@ def fit_growth(records, model: str) -> FitResult:
     value = a + b*n^beta with a scalar search over beta and linear least
     squares inside.
     """
-    ns, vals = _extract(records)
+    ns, vals = np.asarray(records, dtype=float).reshape(-1, 2).T
     if len(ns) < 3:
         raise ValueError("need at least 3 records to fit")
     n_range = (int(ns.min()), int(ns.max()))

@@ -94,25 +94,19 @@ def lebesgue_function_grid(f: NodeFamily, table: DerivativeTable, zs: np.ndarray
     return _pair_logs(np.asarray(zs, dtype=complex), f.points, _lebesgue_sums(table.logs))
 
 
-def asymptotic_omega_estimate(
-    n: int,
-    t: float,
-    convention: str = "one_over_n",
-    raw: NodeFamily = None,
-    level: LevelNodes = None,
-) -> float:
+def asymptotic_omega_estimate(n: int, t: float, raw: NodeFamily = None, level: LevelNodes = None) -> float:
     """Four-factor surrogate for |omega_n| on the arc.
 
     At z = boundary_point(t) the nodal magnitude is comparable to
     |(z - z_k1)(z - z_k2)| / |(z - z*_k1)(z - z*_k2)| where k1, k2 index
-    the nearest nodes on the two sheets and z* are their level-curve
-    counterparts.  Symmetric in t by conjugation.
+    the nearest nodes on the two sheets and z* are their counterparts on
+    the level curve rho = 1 + 1/n.  Symmetric in t by conjugation.
     """
     ta = abs(t)
     if raw is None:
         raw = build_raw(n)
     if level is None:
-        level = build_level_nodes(n, convention)
+        level = build_level_nodes(n, "one_over_n")
     k1, k2 = k1_k2_locate(n, ta)
     z = boundary_point(ta)
     num = abs((z - raw.points[k1]) * (z - raw.points[k2]))

@@ -1,0 +1,46 @@
+"""The names and call shapes of lshapearc that bench/tracer.py relies on.
+
+The tracer wraps lshapearc's functions by name, attributes
+`minimize_scalar` calls to the metric that made them, and recognises a
+level scan by its size (64 samples per node).  This installs it as
+bench/run.py does and runs one call of each traced search, so that a
+rename or restructuring that blinds a traced benchmark run fails here.
+"""
+
+import sys
+import types
+from pathlib import Path
+
+import lshapearc
+import lshapearc.cli  # noqa: F401  (the tracer wraps cli.main too)
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    # run from its source text, so that nothing is written under bench/
+    mod = types.ModuleType("tracer")
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), mod.__dict__)
+    return mod
+
+
+def test_tracer_sees_level_scans_and_refinements():
+    tracing = _load_tracer()
+    modules = [lshapearc] + [sys.modules[f"lshapearc.{m}"] for m in ("families", "nodal", "metrics", "conformal", "cli")]
+    before = [dict(vars(m)) for m in modules]
+    tracer = tracing.Tracer()
+    try:  # a failed install is undone too
+        tracer.install(modules)
+        lshapearc.level_minmax(16)
+        lshapearc.muckenhoupt_constant(16, [2.0])
+        lshapearc.lebesgue_constant(lshapearc.build_adjusted(16))
+    finally:
+        tracer.uninstall()
+
+    for mod, names in zip(modules, before):
+        assert vars(mod).keys() == names.keys()
+        assert all(vars(mod)[k] is v for k, v in names.items()), mod.__name__
+    out = tracing.layer_metrics(tracer.spans)
+    assert out["metrics.level_scans"] == 2
+    assert out["metrics.level_refine_evals"] > 0
+    assert out["metrics.lebesgue_refine_evals"] > 0

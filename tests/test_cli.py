@@ -100,6 +100,7 @@ def test_sweep_cache_replay(tmp_path, monkeypatch):
         ["sweep", "--n", "16", "--jobs", "0"],
         ["minmax", "--n", "16", "--jobs", "-3"],
         ["sweep", "--sweep", "3..2"],
+        ["apweight", "--n", "16", "--window-step-denom", "64"],
     ],
 )
 def test_bad_input_is_one_line_exit_2(argv):

@@ -17,7 +17,9 @@ from lshapearc.nodal import log_abs_omega
 
 
 def test_lebesgue_constant_degree_zero():
-    assert lebesgue_constant(build_raw(0)).value == 1.0
+    for build in (build_raw, build_adjusted):
+        rec = lebesgue_constant(build(0))
+        assert (rec.value, rec.location) == (1.0, 0.0)
 
 
 def test_raw_spike_n32():
@@ -65,6 +67,12 @@ def test_level_minmax_n16():
     assert hi.value / lo.value >= 1.0
 
 
+@pytest.mark.parametrize("n", [1, 5, 7, 33, 69])
+def test_level_max_grid_sample_wins_a_tie(n):
+    # the polished maximum here only ties the grid sample at angle 0
+    assert level_minmax(n)[1].location == 0.0
+
+
 def test_muckenhoupt_n16():
     (rec,) = muckenhoupt_constant(16, [2.0])
     assert abs(rec.value - 1.59) / 1.59 < 0.15
@@ -78,7 +86,11 @@ def test_muckenhoupt_monotone_in_window_max():
 
 
 def _window_sup_loop(n, p, t0, m_max):
-    """The nested-window sup as a plain loop over m, from public functions."""
+    """The nested-window sup as a plain loop over m, from public functions.
+
+    Each window's q-power sum is taken relative to the window's smallest
+    magnitude, so that it stays finite for p near 1.
+    """
     q = p / (p - 1.0)
     k = np.arange(-m_max, m_max + 2)
     zs = level_point(LevelCurve(n), t0 + k * np.pi / (128 * (n + 1)))
@@ -88,25 +100,36 @@ def _window_sup_loop(n, p, t0, m_max):
     best = 1.0
     for m in range(1, m_max + 1):
         sl = slice(m_max - m, m_max + m)
-        length = w[sl].sum()
+        length, low = w[sl].sum(), lv[sl].min()
         val = ((w[sl] * np.exp(p * lv[sl])).sum() / length) ** (1.0 / p) * (
-            (w[sl] * np.exp(-q * lv[sl])).sum() / length
-        ) ** (1.0 / q)
+            (w[sl] * np.exp(-q * (lv[sl] - low))).sum() / length
+        ) ** (1.0 / q) * np.exp(-low)
         best = max(best, float(val))
     return best
 
 
 @pytest.mark.parametrize("n", [16, 33])
-@pytest.mark.parametrize("p", [2.0, 4.0, 8.0])
+@pytest.mark.parametrize("p", [2.0, 4.0, 8.0, 1.01, 1.001])
 def test_muckenhoupt_matches_window_loop(n, p):
-    # one call per degree covers all three exponents; check the record for p
-    ps = (2.0, 4.0, 8.0)
+    # one call per degree covers all the exponents; check the record for p,
+    # which must stay finite near p = 1, where q = p/(p-1) is large
+    ps = (2.0, 4.0, 8.0, 1.01, 1.001)
     rec = muckenhoupt_constant(n, ps, window_max=300)[ps.index(p)]
     assert rec.p == p
     ref = _window_sup_loop(n, p, rec.location, rec.settings["window_max"])
     # the loop sums each window directly instead of differencing cumsums
     assert rec.value == pytest.approx(ref, rel=1e-12)
-    assert [r.value for r in muckenhoupt_constant(n, ps, window_max=0)] == [1.0, 1.0, 1.0]
+    assert [r.value for r in muckenhoupt_constant(n, ps, window_max=0)] == [1.0] * len(ps)
+
+
+@pytest.mark.parametrize("n", [16, 512])
+def test_muckenhoupt_centre_is_the_upper_twin(n):
+    # the coarse-scan argmin lies at t < 0 for these degrees
+    curve = LevelCurve(n)
+    tg, lw = metrics._level_scan(build_raw(n).points, curve)
+    assert tg[np.argmin(lw)] < 0
+    (rec,) = muckenhoupt_constant(n, [2.0], window_max=0)
+    assert rec.location == -tg[np.argmin(lw)]
 
 
 def test_muckenhoupt_records_follow_ps_and_match_single_calls():
