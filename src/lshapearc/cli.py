@@ -304,9 +304,9 @@ _DEGREES = _checked(lambda s: [int(x) for x in s.split(",")], lambda ns: min(ns)
 _SWEEP = _checked(lambda s: [int(x) for x in s.split("..")], lambda ks: len(ks) == 2 and 0 <= ks[0] <= ks[1],
                   "k0..k1 with integers 0 <= k0 <= k1")
 _POSITIVE = _checked(int, lambda m: m >= 1, "a positive integer")
-_EXPONENT = _checked(float, lambda p: p > 1, "an exponent > 1")
-_EXPONENTS = _checked(lambda s: [float(x) for x in s.split(",")], lambda ps: min(ps) > 1,
-                      "comma-separated exponents > 1")
+_EXPONENT = _checked(float, lambda p: 1 < p < float("inf"), "a finite exponent > 1")
+_EXPONENTS = _checked(lambda s: [float(x) for x in s.split(",")], lambda ps: all(1 < p < float("inf") for p in ps),
+                      "comma-separated finite exponents > 1")
 _TOLERANCE = _checked(float, lambda x: 0 < x < float("inf"), "a positive finite number")
 
 

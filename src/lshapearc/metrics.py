@@ -187,8 +187,8 @@ def muckenhoupt_constant(n: int, ps, window_max: int = None) -> list:
     cannot overflow as p approaches 1.
     """
     ps = list(ps)
-    if not ps or min(ps) <= 1:
-        raise ValueError("need at least one exponent, each exceeding 1")
+    if not ps or not all(1 < p < np.inf for p in ps):
+        raise ValueError("need at least one exponent, each finite and exceeding 1")
     fam = build_raw(n)
     curve = LevelCurve(n)
     coarse, lw = _level_scan(fam.points, curve)
@@ -254,8 +254,8 @@ def mz_ratio(
     family; the integral runs over both arm segments with adaptive
     quadrature split at every node position.
     """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
+    if not 1 < p < np.inf:
+        raise ValueError("p must be finite and exceed 1")
     fam = family if family is not None else build_adjusted(n)
     if table is None:
         table = build_derivative_table(fam)

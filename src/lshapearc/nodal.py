@@ -4,8 +4,23 @@ All magnitude arithmetic lives in natural-log space: a "log magnitude"
 is a plain float holding log|x|, with -inf standing for magnitude zero.
 The Lebesgue sum exponentiates per-term differences, which stay O(1)
 even when the product itself under- or overflows.
+
+Every quantity here comes from one pair kernel, `_pair_logs`, which
+cuts the (evaluation point, node) matrix into blocks of whole rows of
+at most _CHUNK_CELLS cells, small enough to stay in cache, and reduces
+each block to one value per row before it is released.  A call with
+more than one block spreads its blocks over a thread pool with one
+thread per CPU the process may run on (numpy releases the interpreter
+lock inside its ufuncs); a call with one block, such as a scalar
+refinement step, runs inline.  Each row is reduced whole, by the same
+operations in the same order, inside one block, so every result is
+bitwise independent of the block size, the thread count and the order
+in which the threads run.
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,25 +28,60 @@ import numpy as np
 from .conformal import boundary_point
 from .families import LevelNodes, NodeFamily, build_level_nodes, build_raw, k1_k2_locate
 
-# cap on rows*columns of any pairwise-distance block held in memory
-_CHUNK_CELLS = 1 << 22
+# cap on rows*columns of one block, so that its complex differences (2 MB)
+# and logs (1 MB) stay in cache: of 2^12..2^22 cells, the fastest or near it
+# at 256..8192 nodes with 1 and 2 threads (BENCH_kernel-blocks.json)
+_CHUNK_CELLS = 1 << 17
+
+# the kernel's thread pool, created by its first multi-block call
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    """In a forked child: the parent's pool threads do not exist there, so a
+    task sent to its pool would never run; the child makes its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _threads() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0)))
+        return _pool
 
 
 def _pair_logs(zs, pts, reduce) -> np.ndarray:
     """reduce(ld, rows) over row blocks ld[i, k] = log|zs[rows][i] - pts[k]|.
 
     The one pair kernel under every nodal quantity.  Each block is built,
-    reduced to one value per row and released before the next one is
-    built, so at most one block of _CHUNK_CELLS cells is alive at a time.
+    reduced to one value per row (reduce may overwrite ld) and released
+    inside one task, so each thread holds at most one block of
+    _CHUNK_CELLS cells.  A failure raises from the first failing block in
+    row order.
     """
     out = np.empty(len(zs))
     chunk = max(1, _CHUNK_CELLS // max(1, len(pts)))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i0 in range(0, len(zs), chunk):
-            rows = slice(i0, i0 + chunk)
+
+    def block(i0):
+        rows = slice(i0, i0 + chunk)
+        # errstate is context-local: each worker thread enters its own
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             d = np.abs(zs[rows, None] - pts[None, :])
             out[rows] = reduce(np.log(d, out=d), rows)
-            del d  # hold no block while the next one is built
+
+    starts = range(0, len(zs), chunk)
+    if len(starts) > 1:
+        for _ in _threads().map(block, starts):  # read every result, so that a failure raises here
+            pass
+    else:
+        for i0 in starts:
+            block(i0)
     return out
 
 
@@ -58,10 +108,11 @@ def build_derivative_table(f: NodeFamily) -> DerivativeTable:
     def skip_diagonal(ld, rows):
         r = np.arange(len(ld))
         ld[r, rows.start + r] = 0.0  # skip the j == k factor
-        if np.any(ld == -np.inf):
+        s = ld.sum(axis=1)
+        if np.any(s == -np.inf):  # a row sum is -inf iff the row holds a zero distance
             i, j = np.argwhere(ld == -np.inf)[0]
             raise ValueError(f"duplicate nodes at indices {rows.start + i} and {j}")
-        return ld.sum(axis=1)
+        return s
 
     return DerivativeTable(logs=_pair_logs(f.points, f.points, skip_diagonal))
 
@@ -70,9 +121,12 @@ def _lebesgue_sums(logs, upto=None):
     """Row reduction: the sum over k < upto of |l_k(z)| (exactly 1 at a node)."""
 
     def reduce(ld, rows):
-        hit = (ld == -np.inf).any(axis=1)
-        lam = np.exp(ld.sum(axis=1)[:, None] - ld - logs[None, :])[:, :upto].sum(axis=1)
-        lam[hit] = 1.0
+        s = ld.sum(axis=1)
+        # log|l_k(z)| = s - ld[:, k] - logs[k], evaluated in place in that order
+        np.subtract(s[:, None], ld, out=ld)
+        ld -= logs[None, :]
+        lam = np.exp(ld, out=ld)[:, :upto].sum(axis=1)
+        lam[s == -np.inf] = 1.0  # z hits a node
         return lam
 
     return reduce

@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 import subprocess
 import sys
 
@@ -63,6 +65,32 @@ def test_sweep_jobs_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_jobs_after_kernel_pool_started(tmp_path):
+    # the forked sweep workers inherit a started kernel thread pool, whose
+    # threads they lack; a subprocess with a timeout turns a hang into a failure
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    run_cli(["sweep", "--list", "16,32,64", "--jobs", "1", "--out", str(a)])
+    code = (
+        "import sys, numpy as np\n"
+        "from lshapearc import cli, nodal\n"
+        "from lshapearc.families import build_raw\n"
+        "nodal.log_abs_omega(build_raw(64), np.zeros(4 * nodal._CHUNK_CELLS // 65, complex))\n"
+        "assert nodal._pool is not None\n"
+        "cli.main(['sweep', '--list', '16,32,64', '--jobs', '2', '--out', sys.argv[1]])\n"
+    )
+    # its own process group, so that a hang is killed with the forked workers
+    proc = subprocess.Popen([sys.executable, "-c", code, str(b)], stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("sweep --jobs 2 hung after the kernel's thread pool had started")
+    assert proc.returncode == 0, err
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_sweep_cache_replay(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -101,6 +129,8 @@ def test_sweep_cache_replay(tmp_path, monkeypatch):
         ["minmax", "--n", "16", "--jobs", "-3"],
         ["sweep", "--sweep", "3..2"],
         ["apweight", "--n", "16", "--window-step-denom", "64"],
+        ["apweight", "--n", "16", "--p", "inf"],
+        ["mzratio", "--n", "16", "--p", "inf"],
     ],
 )
 def test_bad_input_is_one_line_exit_2(argv):

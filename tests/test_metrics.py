@@ -158,9 +158,12 @@ def test_muckenhoupt_one_scan_and_one_window_for_all_ps(monkeypatch, ps):
 
 
 def test_muckenhoupt_domain_error():
-    for ps in ([1.0], [], [2.0, 1.0]):
+    for ps in ([1.0], [], [2.0, 1.0], [np.inf], [2.0, np.nan]):
         with pytest.raises(ValueError):
             muckenhoupt_constant(16, ps)
+    for p in (1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            mz_ratio(16, p)
 
 
 def test_mz_ratio_degree_zero():

@@ -1,9 +1,13 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lshapearc import nodal
 from lshapearc.conformal import boundary_point
-from lshapearc.families import build_raw, theta_grid
+from lshapearc.families import build_adjusted, build_raw, theta_grid
 from lshapearc.nodal import (
     asymptotic_omega_estimate,
     build_derivative_table,
@@ -62,12 +66,48 @@ def test_derivative_table_n1():
     assert table.logs[1] == pytest.approx(gap)
 
 
-def test_duplicate_nodes_rejected():
+def test_duplicate_nodes_rejected(monkeypatch):
     fam = build_raw(8)
     fam.points = fam.points.copy()
     fam.points[5] = fam.points[2]
-    with pytest.raises(ValueError):
-        build_derivative_table(fam)
+    # the first duplicate pair in row order, also when rows 2 and 5 fail in different blocks
+    for cells in (1, 7, 1 << 16):
+        monkeypatch.setattr(nodal, "_CHUNK_CELLS", cells)
+        with pytest.raises(ValueError, match=r"^duplicate nodes at indices 2 and 5$"):
+            build_derivative_table(fam)
+
+
+def _kernel_outputs():
+    """Every reduction of the pair kernel, on multi-block inputs with rows that hit a node."""
+    out = []
+    for fam in (build_raw(40), build_adjusted(64)):
+        table = build_derivative_table(fam)
+        zs = np.concatenate([boundary_point(np.linspace(-2.09, 2.09, 301)), fam.points[::5]])
+        grid = lebesgue_function_grid(fam, table, zs)
+        assert np.all(grid[301:] == 1.0)
+        z = complex(zs[17])
+        out += [table.logs, grid, log_abs_omega(fam, zs), [log_abs_omega(fam, z)],
+                [lebesgue_function(fam, table, z, upto=k) for k in (1, fam.n // 6 + 1, None)]]
+    return [np.asarray(a, dtype=float).tobytes() for a in out]
+
+
+def test_blocking_cannot_change_a_number(monkeypatch):
+    runs = []
+    for cells in (1, 7, 1 << 10, 1 << 16, 1 << 17, 1 << 22):
+        monkeypatch.setattr(nodal, "_CHUNK_CELLS", cells)
+        runs.append(_kernel_outputs())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # frequent thread switches, with more threads than cores
+    try:
+        for threads in (1, 8):
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                monkeypatch.setattr(nodal, "_pool", pool)
+                for cells in (7, 1 << 10):
+                    monkeypatch.setattr(nodal, "_CHUNK_CELLS", cells)
+                    runs.append(_kernel_outputs())
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(run == runs[0] for run in runs[1:])
 
 
 def test_lebesgue_cardinality_at_nodes():
