@@ -123,8 +123,9 @@ VERSIONS = {
 
 def _lebesgue(cfg):
     fam = _build(cfg["n"], cfg["family"])
-    rec = lebesgue_constant(fam, grid_per_gap=cfg["grid_per_gap"], refine_tol=cfg["refine_tol"])
-    return {"n": cfg["n"], "family": cfg["family"], "L": rec.value, "argmax_t": rec.location}
+    rec = lebesgue_constant(fam, grid_per_gap=cfg["grid_per_gap"])
+    return {"n": cfg["n"], "family": cfg["family"], "L": rec.value, "argmax_t": rec.location,
+            "refine_tol": rec.settings["refine_tol"]}
 
 
 def _minmax(cfg):
@@ -181,10 +182,9 @@ def _sweep(args, command, configs, header, row):
 def cmd_lebesgue(args):
     def row(r):
         over = r["L"] / np.log(r["n"]) if r["n"] >= 2 else float("nan")
-        return f"{r['n']},{r['family']},{_fmt(r['L'])},{_fmt(over)},{_fmt(r['argmax_t'])},{args.grid_per_gap},{args.refine_tol:g}"
+        return f"{r['n']},{r['family']},{_fmt(r['L'])},{_fmt(over)},{_fmt(r['argmax_t'])},{args.grid_per_gap},{r['refine_tol']:g}"
 
-    configs = [{"n": n, "family": args.family, "grid_per_gap": args.grid_per_gap, "refine_tol": args.refine_tol}
-               for n in sorted(_parse_ns(args))]
+    configs = [{"n": n, "family": args.family, "grid_per_gap": args.grid_per_gap} for n in sorted(_parse_ns(args))]
     return _sweep(args, "lebesgue", configs, "n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol", row)
 
 
@@ -227,16 +227,13 @@ def cmd_fit(args):
     try:
         i_n, i_v = header.index("n"), header.index(col)
         pairs = [(int(r[i_n]), float(r[i_v])) for r in rows]
+        ns = [n for n, _ in pairs]
+        repeated = [n for i, n in enumerate(ns) if n in ns[:i]]
+        if repeated:  # e.g. an apweight CSV with several --p, which one fit would pool
+            _refuse(prog, f"{args.input}: degree n = {repeated[0]} is in more than one row; fit one series at a time")
         fit = fit_growth(pairs, model)
     except (ValueError, IndexError) as exc:
         _refuse(prog, f"{args.input}: {exc}")
-    preds = []
-    for n, v in pairs:
-        if model == "affine_in_logn":
-            fitted = (fit.a + fit.b * np.log(n)) * np.log(n)
-        else:
-            fitted = fit.a + fit.b * n**fit.beta
-        preds.append({"n": n, "value": v, "fitted": float(fitted)})
     doc = {
         "schema_version": SCHEMA_VERSION,
         "model": fit.model,
@@ -246,7 +243,7 @@ def cmd_fit(args):
         "residual_rms": fit.residual_rms,
         "n_range": list(fit.n_range),
         "value_column": col,
-        "predictions": preds,
+        "predictions": [{"n": n, "value": v, "fitted": fit.predict(n)} for n, v in pairs],
     }
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -255,7 +252,7 @@ def cmd_fit(args):
 def cmd_verify(args):
     from .verify import run_all
 
-    results = run_all(flip_branch=args.debug_flip_branch)
+    results = run_all()
     width = max(len(name) for name, _, _ in results)
     failures = 0
     lines = []
@@ -335,7 +332,6 @@ def build_parser():
         _add_common(sp)
         sp.add_argument("--family", choices=["raw", "adjusted"], default="adjusted")
         sp.add_argument("--grid-per-gap", type=_checked(int, lambda g: g >= 8, "an integer >= 8"), default=64)
-        sp.add_argument("--refine-tol", type=_TOLERANCE, default=1e-9)
         sp.set_defaults(func=cmd_lebesgue)
 
     sp = sub.add_parser("minmax", help="level-curve extrema of the nodal magnitude (CSV)")
@@ -364,8 +360,6 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run the cross-module invariant suite")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--debug-flip-branch", action="store_true",
-                    help="negative control: check the endpoint against the reflected branch")
     sp.set_defaults(func=cmd_verify)
 
     return ap

@@ -48,7 +48,7 @@ def fold_closed_form(t):
     Accepts a scalar or array with |t| in [2pi/3, pi]; negative t folds
     by oddness.  The algebraic branch loses precision very close to pi,
     where an asymptotic seed J ~ cbrt(4)*(pi-t)^(1/3) + (pi-t)/3 refined
-    by two Newton steps takes over.
+    by three Newton steps takes over.
     """
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0

@@ -51,6 +51,12 @@ class FitResult:
     residual_rms: float = 0.0
     n_range: tuple = ()
 
+    def predict(self, n) -> float:
+        """The fitted value at degree n: (a + b*log n)*log n or a + b*n^beta."""
+        if self.model == "affine_in_logn":
+            return float((self.a + self.b * np.log(n)) * np.log(n))
+        return float(self.a + self.b * n**self.beta)
+
 
 # ---------------------------------------------------------------------------
 # Lebesgue constant
@@ -64,14 +70,17 @@ def _polish(g, t, v, lo, hi, xatol):
     return (float(res.fun), float(res.x)) if res.fun < v else (float(v), float(t))
 
 
-def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64, refine_tol: float = 1e-9) -> MetricRecord:
+REFINE_TOL = 1e-9  # Brent's tolerance on the angle of a polished Lebesgue maximum
+
+
+def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64) -> MetricRecord:
     """Max of the Lebesgue function over the arc.
 
     Samples grid_per_gap points inside every folded-angle gap (covering
     both sheets through the folded coordinate), then polishes the five
-    best samples within two grid steps.
+    best samples within two grid steps, to REFINE_TOL in the angle.
     """
-    settings = {"grid_per_gap": grid_per_gap, "refine_tol": refine_tol}
+    settings = {"grid_per_gap": grid_per_gap, "refine_tol": REFINE_TOL}
     if grid_per_gap < 8:
         raise ValueError("grid_per_gap must be >= 8")
     table = build_derivative_table(f)
@@ -90,7 +99,7 @@ def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64, refine_tol: float =
     h = (knots[-1] - knots[0]) / len(ts)
     for i in np.argsort(lam)[::-1][:5]:
         lo, hi = max(ts[i] - 2 * h, -CORNER_ANGLE), min(ts[i] + 2 * h, CORNER_ANGLE)
-        v, t = _polish(neg, ts[i], -lam[i], lo, hi, refine_tol)
+        v, t = _polish(neg, ts[i], -lam[i], lo, hi, REFINE_TOL)
         if -v > best_val:
             best_val, best_t = -v, t
     return MetricRecord("lebesgue_constant", f.n, f.kind, best_val, location=best_t, settings=settings)
@@ -101,7 +110,8 @@ def lower_bound_witness(n: int) -> MetricRecord:
 
     The evaluation point t0 = (theta_0 + theta_1)/2 sits where the basis
     magnitudes pile up; both the full sum and the partial sum over the
-    first n/6 nodes grow like log^2(n).
+    nodes k = 0..n//6 grow like log^2(n).  settings["partial_upto"] is
+    n//6, the last index the partial sum includes.
     """
     if n < 6:
         raise ValueError("witness needs n >= 6")
@@ -135,6 +145,17 @@ def _level_scan(points, curve: LevelCurve):
     """
     tg = np.linspace(-np.pi, np.pi, 64 * (curve.n + 1), endpoint=False)
     return tg, log_abs_omega(points, level_point(curve, tg))
+
+
+def _level_min_angle(points, curve: LevelCurve) -> float:
+    """The angle t0 >= 0 of the level-scan minimum: |t| for the scan's argmin t.
+
+    The node sets are conjugate-symmetric, so the minimum comes as a pair
+    +-t0 that ties up to rounding; taking |t| keeps every result built on
+    t0 independent of which twin rounding makes smaller.
+    """
+    tg, lw = _level_scan(points, curve)
+    return abs(float(tg[np.argmin(lw)]))
 
 
 def level_minmax(n: int, convention: str = "one_over_n_plus_1"):
@@ -174,25 +195,22 @@ def muckenhoupt_constant(n: int, ps, window_max: int = None) -> list:
 
     Returns one record per exponent in ps, in the order of ps: the
     window does not depend on p, so it is evaluated once for all of them.
-    The window centre t0 is |t| for the argmin t of the coarse level
-    scan: the raw nodes are conjugate-symmetric, so the minimum comes as
-    a pair +-t0 that ties up to rounding, and the centre must not depend
-    on which twin rounding makes smaller.  The level curve of the raw
-    family is stepped by pi/(WINDOW_STEP_DENOM*(n+1)) around t0; the sup
-    runs over nested windows centered at t0, up to window_max steps per
-    side.  Arc-length weights |z_{k+1} - z_k| discretize the integrals,
-    and the log of the magnitude is mean-centered first (the functional
-    is scale invariant) to keep the powers representable; the q-power
-    sums are taken relative to the smallest magnitude, so that they
-    cannot overflow as p approaches 1.
+    The window centre is the level-scan minimum t0 (`_level_min_angle`).
+    The level curve of the raw family is stepped by
+    pi/(WINDOW_STEP_DENOM*(n+1)) around t0; the sup runs over nested
+    windows centered at t0, up to window_max steps per side.  Arc-length
+    weights |z_{k+1} - z_k| discretize the integrals, and the log of the
+    magnitude is mean-centered first (the functional is scale invariant)
+    to keep the powers representable; the q-power sums are taken relative
+    to the smallest magnitude, so that they cannot overflow as p
+    approaches 1.
     """
     ps = list(ps)
     if not ps or not all(1 < p < np.inf for p in ps):
         raise ValueError("need at least one exponent, each finite and exceeding 1")
     fam = build_raw(n)
     curve = LevelCurve(n)
-    coarse, lw = _level_scan(fam.points, curve)
-    t0 = abs(float(coarse[np.argmin(lw)]))
+    t0 = _level_min_angle(fam.points, curve)
 
     step = np.pi / (WINDOW_STEP_DENOM * (n + 1))
     cap = min(8192, WINDOW_STEP_DENOM * (n + 1) // 2)
@@ -229,14 +247,10 @@ def muckenhoupt_constant(n: int, ps, window_max: int = None) -> list:
 
 
 def choose_ratio_index(n: int, family: NodeFamily) -> int:
-    """Node index nearest the level-curve minimum of the nodal magnitude.
-
-    The minimum is taken at the angle |t| for the scan's argmin t, as the
-    A_p window centre is.
-    """
+    """Node index nearest the level-curve minimum of the nodal magnitude,
+    at the level-scan minimum t0 (`_level_min_angle`), the A_p window centre."""
     curve = LevelCurve(n)
-    tg, lw = _level_scan(family.points, curve)
-    zmin = complex(level_point(curve, abs(float(tg[np.argmin(lw)]))))
+    zmin = complex(level_point(curve, _level_min_angle(family.points, curve)))
     return int(np.argmin(np.abs(family.points - zmin)))
 
 

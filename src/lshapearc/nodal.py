@@ -19,7 +19,6 @@ in which the threads run.
 """
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,27 +32,17 @@ from .families import LevelNodes, NodeFamily, build_level_nodes, build_raw, k1_k
 # at 256..8192 nodes with 1 and 2 threads (BENCH_kernel-blocks.json)
 _CHUNK_CELLS = 1 << 17
 
-# the kernel's thread pool, created by its first multi-block call
-_pool = None
-_pool_lock = threading.Lock()
 
-
-def _forget_pool():
-    """In a forked child: the parent's pool threads do not exist there, so a
-    task sent to its pool would never run; the child makes its own."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _threads() -> ThreadPoolExecutor:
+def _new_pool():
+    """Build the kernel's thread pool, which starts no thread before its first
+    task.  Run again in a forked child: the parent's pool threads do not exist
+    there, so a task sent to its pool would never run."""
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0)))
-        return _pool
+    _pool = ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0)))
+
+
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)
 
 
 def _pair_logs(zs, pts, reduce) -> np.ndarray:
@@ -77,7 +66,7 @@ def _pair_logs(zs, pts, reduce) -> np.ndarray:
 
     starts = range(0, len(zs), chunk)
     if len(starts) > 1:
-        for _ in _threads().map(block, starts):  # read every result, so that a failure raises here
+        for _ in _pool.map(block, starts):  # read every result, so that a failure raises here
             pass
     else:
         for i0 in starts:

@@ -29,10 +29,9 @@ OMEGA_STAR_LO = np.exp(-3.0) * (np.e - 1.0) ** 2
 OMEGA_STAR_HI = np.e**5 * (1.0 + 2.0 * np.e) / (np.e - 1.0)
 
 
-def _check_endpoint(flip_branch=False):
-    expected = np.conj(ENDPOINT) if flip_branch else ENDPOINT
-    err = abs(psi(np.exp(2j * np.pi / 3.0)) - expected)
-    err2 = abs(psi(np.exp(-2j * np.pi / 3.0)) - np.conj(expected))
+def _check_endpoint():
+    err = abs(psi(np.exp(2j * np.pi / 3.0)) - ENDPOINT)
+    err2 = abs(psi(np.exp(-2j * np.pi / 3.0)) - np.conj(ENDPOINT))
     return max(err, err2) < 1e-12, f"max endpoint error {max(err, err2):.2e}"
 
 
@@ -274,13 +273,6 @@ CHECKS = [
 ]
 
 
-def run_all(flip_branch: bool = False):
+def run_all():
     """Run every invariant check; returns list of (name, ok, detail)."""
-    results = []
-    for name, check in CHECKS:
-        if name == "endpoint_identity":
-            ok, detail = check(flip_branch=flip_branch)
-        else:
-            ok, detail = check()
-        results.append((name, ok, detail))
-    return results
+    return [(name, *check()) for name, check in CHECKS]

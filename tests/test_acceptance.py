@@ -59,13 +59,11 @@ def report(num, name, ok, elapsed, detail):
 
 def test_criterion_01_conformal_identities():
     t0 = time.perf_counter()
-    endpoint = 27.0**0.25 * np.exp(3j * np.pi / 4.0)
-    e1 = abs(L.psi(np.exp(2j * np.pi / 3.0)) - endpoint)
-    t = np.linspace(0.0, np.pi, 512)
-    e2 = np.max(np.abs(np.abs(L.boundary_point(t)) ** 2 - 8.0 * np.sin(t) * np.sin(t / 2.0) ** 2))
+    checks = dict(CHECKS)
+    results = {name: checks[name]() for name in ("endpoint_identity", "magnitude_law")}
     el = time.perf_counter() - t0
-    ok = e1 < 1e-12 and e2 < 1e-12 and el < 1.0
-    report(1, "conformal identities", ok, el, f"endpoint err {e1:.1e}, magnitude-law err {e2:.1e}")
+    ok = all(passed for passed, _ in results.values()) and el < 1.0
+    report(1, "conformal identities", ok, el, "; ".join(f"{name}: {detail}" for name, (_, detail) in results.items()))
 
 
 def test_criterion_02_fold_function():

@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from lshapearc import cli
+from lshapearc import cli, verify
 from lshapearc.cli import main
-from lshapearc.verify import _check_endpoint
+from lshapearc.metrics import FitResult
 
 
 def run_cli(args):
@@ -71,11 +71,11 @@ def test_sweep_jobs_after_kernel_pool_started(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(["sweep", "--list", "16,32,64", "--jobs", "1", "--out", str(a)])
     code = (
-        "import sys, numpy as np\n"
+        "import sys, threading, numpy as np\n"
         "from lshapearc import cli, nodal\n"
         "from lshapearc.families import build_raw\n"
         "nodal.log_abs_omega(build_raw(64), np.zeros(4 * nodal._CHUNK_CELLS // 65, complex))\n"
-        "assert nodal._pool is not None\n"
+        "assert threading.active_count() > 1\n"
         "cli.main(['sweep', '--list', '16,32,64', '--jobs', '2', '--out', sys.argv[1]])\n"
     )
     # its own process group, so that a hang is killed with the forked workers
@@ -122,7 +122,7 @@ def test_sweep_cache_replay(tmp_path, monkeypatch):
         ["minmax", "--n", "0", "--rho", "n"],
         ["apweight", "--n", "4", "--window-max", "-5"],
         ["mzratio"],
-        ["lebesgue", "--n", "16", "--refine-tol", "nan"],
+        ["lebesgue", "--n", "16", "--refine-tol", "nan"],  # no such option: refused as unknown
         ["lebesgue", "--n", "16", "--refine-tol", "-1e-9"],
         ["mzratio", "--n", "16", "--quad-tol", "-1e-8"],
         ["sweep", "--n", "16", "--jobs", "0"],
@@ -185,6 +185,7 @@ def test_fit_power_roundtrip(tmp_path):
     doc = json.loads(out.read_text())
     assert abs(doc["beta"] - 0.65) < 0.05
     assert doc["value_column"] == "R"
+    _assert_predictions(doc)
 
 
 def test_fit_affine_on_lebesgue_csv(tmp_path):
@@ -199,6 +200,14 @@ def test_fit_affine_on_lebesgue_csv(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["a"] == pytest.approx(1.0, abs=1e-6)
     assert doc["b"] == pytest.approx(0.1, abs=1e-6)
+    _assert_predictions(doc)
+
+
+def _assert_predictions(doc):
+    fit = FitResult(doc["model"], doc["a"], doc["b"], beta=doc["beta"])
+    for row in doc["predictions"]:
+        assert row["fitted"] == fit.predict(row["n"])
+        assert abs(row["fitted"] - row["value"]) < 1e-6
 
 
 def _fit_refused(tmp_path, capsys, text, extra=()):
@@ -227,8 +236,10 @@ _ROWS = "16,2,0,1.0,0.1\n32,2,0,2.0,0.1\n64,2,0,3.0,0.1\n"
         (None, ()),
         ("n,p,k,S,dist\n" + _ROWS, ()),
         ("deg,p,k,R,dist\n" + _ROWS, ()),
+        ("n,p,M_n\n" + "".join(f"{n},{p},{n / p}\n" for n in (16, 32, 64) for p in (2, 4)), ()),
     ],
-    ids=["non_numeric_cell", "unknown_value_col", "missing_file", "no_known_value_col", "no_n_col"],
+    ids=["non_numeric_cell", "unknown_value_col", "missing_file", "no_known_value_col", "no_n_col",
+         "repeated_degree"],
 )
 def test_fit_bad_input_is_one_line_exit_2(tmp_path, capsys, text, extra):
     _fit_refused(tmp_path, capsys, text, extra)
@@ -271,13 +282,15 @@ def test_apweight_cache_one_entry_per_degree(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_negative_control(tmp_path):
-    ok, _ = _check_endpoint(flip_branch=False)
+def test_verify_negative_control(tmp_path, monkeypatch):
+    ok, _ = verify._check_endpoint()
     assert ok
-    ok, _ = _check_endpoint(flip_branch=True)
+    # the reflected branch: the check must see the endpoint of the other arm
+    monkeypatch.setattr(verify, "ENDPOINT", np.conj(verify.ENDPOINT))
+    ok, _ = verify._check_endpoint()
     assert not ok
     out = tmp_path / "verify.txt"
-    assert main(["verify", "--debug-flip-branch", "--out", str(out)]) == 1
+    assert main(["verify", "--out", str(out)]) == 1
     lines = out.read_text().splitlines()
     assert [line.split()[1] for line in lines if line.startswith("FAIL")] == ["endpoint_identity"]
     assert lines[-1] == "20/21 invariant checks passed"

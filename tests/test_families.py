@@ -12,7 +12,7 @@ from lshapearc.families import (
     separation_margin,
     theta_grid,
 )
-from lshapearc.fold import fold_closed_form, unfold
+from lshapearc.fold import unfold
 
 DELTA_32 = 2.0 * np.pi / 99.0
 
@@ -74,15 +74,6 @@ def test_adjusted_n32_collision_pair():
     assert fam.folded[16] == pytest.approx(8.0 * np.pi / 33.0 - DELTA_32, abs=1e-12)
     assert abs(fam.folded[16] - 0.698131) < 1e-6
     assert abs(fam.angles[4] - 0.823638) < 1e-6
-
-
-def test_adjusted_n32_pair_average_preserved():
-    raw = build_raw(32)
-    adj = build_adjusted(32)
-    for k, j in adj.adjusted_pairs:
-        before = fold_closed_form(raw.angles[k]) + raw.angles[j]
-        after = fold_closed_form(adj.angles[k]) + adj.angles[j]
-        assert abs(before - after) < 1e-10
 
 
 def test_adjusted_n2_is_raw():

@@ -22,11 +22,6 @@ def test_lebesgue_constant_degree_zero():
         assert (rec.value, rec.location) == (1.0, 0.0)
 
 
-def test_raw_spike_n32():
-    rec = lebesgue_constant(build_raw(32))
-    assert abs(rec.value - 102.02) / 102.02 < 0.01
-
-
 def test_adjusted_n16():
     # frozen regression value; the published figure for this entry is
     # 4.838368, about 12.5% above what the documented adjustment yields
@@ -58,13 +53,6 @@ def test_grid_independence_small():
 def test_witness_requires_degree():
     with pytest.raises(ValueError):
         lower_bound_witness(4)
-
-
-def test_level_minmax_n16():
-    lo, hi = level_minmax(16)
-    assert abs(lo.value - 1.09441) / 1.09441 < 0.05
-    assert abs(hi.value - 5.31) / 5.31 < 0.05
-    assert hi.value / lo.value >= 1.0
 
 
 @pytest.mark.parametrize("n", [1, 5, 7, 33, 69])

@@ -110,15 +110,6 @@ def test_blocking_cannot_change_a_number(monkeypatch):
     assert all(run == runs[0] for run in runs[1:])
 
 
-def test_lebesgue_cardinality_at_nodes():
-    fam = build_raw(16)
-    table = build_derivative_table(fam)
-    for k in [0, 5, 11]:
-        assert lebesgue_function(fam, table, complex(fam.points[k])) == 1.0
-    grid = lebesgue_function_grid(fam, table, fam.points[[0, 5, 11]])
-    assert np.all(grid == 1.0)
-
-
 def test_surrogate_vanishes_at_nodes():
     n = 64
     th = theta_grid(n)
