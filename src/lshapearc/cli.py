@@ -114,7 +114,7 @@ def _build(n, family_kind):
 
 # bump a command's algorithm version whenever its numbers may change
 VERSIONS = {
-    "lebesgue": "1",
+    "lebesgue": "2",  # 2: max searched on the upper arm, argmax_t in [0, 2pi/3]
     "minmax": "1",
     "apweight": "3",  # 3: window centred at |t0|, q-power sums shifted to stay finite
     "mzratio": "3",  # 3: ratio index nearest the level minimum at |t0|

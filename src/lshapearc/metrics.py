@@ -70,35 +70,50 @@ def _polish(g, t, v, lo, hi, xatol):
     return (float(res.fun), float(res.x)) if res.fun < v else (float(v), float(t))
 
 
-REFINE_TOL = 1e-9  # Brent's tolerance on the angle of a polished Lebesgue maximum
-
-
-def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64) -> MetricRecord:
-    """Max of the Lebesgue function over the arc.
-
-    Samples grid_per_gap points inside every folded-angle gap (covering
-    both sheets through the folded coordinate), then polishes the five
-    best samples within two grid steps, to REFINE_TOL in the angle.
-    """
-    settings = {"grid_per_gap": grid_per_gap, "refine_tol": REFINE_TOL}
-    if grid_per_gap < 8:
-        raise ValueError("grid_per_gap must be >= 8")
-    table = build_derivative_table(f)
-
+def _arc_samples(f: NodeFamily, grid_per_gap: int):
+    """grid_per_gap folded angles inside every gap between the nodes and the
+    arc's ends, over the whole arc [-2pi/3, 2pi/3], and their mean step."""
     knots = np.unique(np.concatenate([[-CORNER_ANGLE, CORNER_ANGLE], np.sort(f.folded)]))
     gap = np.diff(knots)
     keep = gap >= 1e-14
     frac = np.arange(1, grid_per_gap + 1) / (grid_per_gap + 1.0)
     ts = (knots[:-1][keep, None] + gap[keep, None] * frac).ravel()
+    return ts, (knots[-1] - knots[0]) / len(ts)
+
+
+REFINE_TOL = 1e-9  # Brent's tolerance on the angle of a polished Lebesgue maximum
+
+
+def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64) -> MetricRecord:
+    """Max of the Lebesgue function over the arc, searched on the upper arm.
+
+    The node set must be conjugate-symmetric (ValueError otherwise), so
+    the Lebesgue function takes the same value at z and at its conjugate
+    and the max over the arc is the max over the upper arm, folded
+    t in [0, 2pi/3].  Samples grid_per_gap points inside every
+    folded-angle gap of the whole arc, keeps the samples with t >= 0,
+    then polishes the five best within two grid steps, inside the upper
+    arm, to REFINE_TOL in the angle; the corner t = 0 is a candidate too.
+    """
+    settings = {"grid_per_gap": grid_per_gap, "refine_tol": REFINE_TOL}
+    if grid_per_gap < 8:
+        raise ValueError("grid_per_gap must be >= 8")
+    if not np.array_equal(np.sort_complex(f.points), np.sort_complex(f.points.conj())):
+        raise ValueError("the upper-arm search needs a conjugate-symmetric node set")
+    table = build_derivative_table(f)
+
+    ts, h = _arc_samples(f, grid_per_gap)
+    ts = ts[ts >= 0.0]
     lam = lebesgue_function_grid(f, table, boundary_point(ts))
 
     def neg(t):
         return -lebesgue_function(f, table, complex(boundary_point(t)))
 
-    best_val, best_t = 1.0, float(f.folded[0])
-    h = (knots[-1] - knots[0]) / len(ts)
+    # Brent never evaluates a bracket's ends, so the corner t = 0, where
+    # the clamped brackets end, is a candidate of its own
+    best_val, best_t = -neg(0.0), 0.0
     for i in np.argsort(lam)[::-1][:5]:
-        lo, hi = max(ts[i] - 2 * h, -CORNER_ANGLE), min(ts[i] + 2 * h, CORNER_ANGLE)
+        lo, hi = max(ts[i] - 2 * h, 0.0), min(ts[i] + 2 * h, CORNER_ANGLE)
         v, t = _polish(neg, ts[i], -lam[i], lo, hi, REFINE_TOL)
         if -v > best_val:
             best_val, best_t = -v, t
@@ -363,6 +378,10 @@ def fit_growth(records, model: str) -> FitResult:
     squares inside.
     """
     ns, vals = np.asarray(records, dtype=float).reshape(-1, 2).T
+    bad = ~(np.isfinite(ns) & np.isfinite(vals))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"non-finite observation (n, value) = ({ns[i]:g}, {vals[i]:g}) cannot be fitted")
     if len(ns) < 3:
         raise ValueError("need at least 3 records to fit")
     n_range = (int(ns.min()), int(ns.max()))

@@ -219,6 +219,7 @@ def _fit_refused(tmp_path, capsys, text, extra=()):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and err.startswith("lshapearc fit: error: ")
+    return err
 
 
 def test_fit_too_few_points(tmp_path, capsys):
@@ -243,6 +244,15 @@ _ROWS = "16,2,0,1.0,0.1\n32,2,0,2.0,0.1\n64,2,0,3.0,0.1\n"
 )
 def test_fit_bad_input_is_one_line_exit_2(tmp_path, capsys, text, extra):
     _fit_refused(tmp_path, capsys, text, extra)
+
+
+def test_fit_refuses_non_finite_value(tmp_path, capsys):
+    # L_over_log is nan at n = 0 and n = 1: the fit names the first such row
+    header = "n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol\n"
+    rows = "".join(f"{n},adjusted,{L:.6f},{over},0.0,64,1e-09\n"
+                   for n, L, over in [(1, 1.414214, "nan"), (16, 4.2, "1.5"), (32, 4.6, "1.3"), (64, 5.0, "1.2")])
+    err = _fit_refused(tmp_path, capsys, header + rows, ("--value-col", "L_over_log"))
+    assert "(n, value) = (1, nan)" in err
 
 
 def test_fit_affine_refuses_degree_zero_before_any_log(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lshapearc import metrics
-from lshapearc.conformal import LevelCurve, arc_length, dist_to_level, level_point
+from lshapearc.conformal import CORNER_ANGLE, LevelCurve, arc_length, boundary_point, dist_to_level, level_point
 from lshapearc.families import build_adjusted, build_raw
 from lshapearc.metrics import (
     fit_growth,
@@ -13,13 +13,54 @@ from lshapearc.metrics import (
     mz_ratio,
     mz_ratio_worst,
 )
-from lshapearc.nodal import log_abs_omega
+from lshapearc.nodal import build_derivative_table, lebesgue_function, lebesgue_function_grid, log_abs_omega
 
 
 def test_lebesgue_constant_degree_zero():
     for build in (build_raw, build_adjusted):
         rec = lebesgue_constant(build(0))
         assert (rec.value, rec.location) == (1.0, 0.0)
+
+
+def test_lebesgue_constant_refuses_asymmetric_nodes():
+    f = build_raw(16)
+    f.points[3] += 1e-9
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        lebesgue_constant(f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 33, 64])
+@pytest.mark.parametrize("build", [build_raw, build_adjusted])
+def test_lebesgue_function_mirror_symmetric_on_full_grid(build, n):
+    # the upper-arm search rests on lambda(conj z) = lambda(z) over the whole arc
+    f = build(n)
+    table = build_derivative_table(f)
+    ts, _ = metrics._arc_samples(f, 64)
+    lam = lebesgue_function_grid(f, table, boundary_point(ts))
+    mirror = lebesgue_function_grid(f, table, boundary_point(-ts))
+    assert np.allclose(mirror, lam, rtol=1e-13, atol=0.0)
+    assert lebesgue_constant(f).value >= lam.max()
+
+
+def test_lebesgue_constant_stays_on_upper_arm(monkeypatch):
+    seen = []
+
+    def grid(f, table, zs):
+        seen.append(np.asarray(zs))
+        return lebesgue_function_grid(f, table, zs)
+
+    def point(f, table, z, upto=None):
+        seen.append(np.asarray([z]))
+        return lebesgue_function(f, table, z, upto)
+
+    monkeypatch.setattr(metrics, "lebesgue_function_grid", grid)
+    monkeypatch.setattr(metrics, "lebesgue_function", point)
+    for build in (build_raw, build_adjusted):
+        for n in range(1, 65):
+            seen.clear()
+            rec = lebesgue_constant(build(n))
+            assert all(np.all(zs.imag >= 0.0) for zs in seen), (build.__name__, n)
+            assert 0.0 <= rec.location <= CORNER_ANGLE
 
 
 def test_adjusted_n16():
