@@ -2,9 +2,10 @@
 
 Every command is a pure function of its configuration: re-running with
 the same flags (at any parallelism degree) produces byte-identical
-output files.  Per-n results are cached as JSON keyed by a hash of the
-schema version, the command's algorithm version and the exact settings
-that produced them.  Bad arguments get a one-line error and exit code 2.
+output files.  A sweep's CSV rows at each degree are cached as JSON keyed
+by a hash of the schema version, the command's algorithm version and the
+exact settings that produced them.  Bad arguments get a one-line error
+and exit code 2.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -26,7 +28,8 @@ from .metrics import (
     mz_ratio,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"  # of a cache entry; 2: it holds its degree's finished CSV rows
+DOC_VERSION = "1"  # of the nodes and fit JSON documents
 CACHE_ENV_VAR = "LSHAPEARC_CACHE_DIR"
 
 
@@ -44,10 +47,6 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cache_dir(args) -> str:
-    return args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
-
-
 def _cache_key(payload: dict, version: str) -> str:
     blob = json.dumps({"schema_version": SCHEMA_VERSION, "algorithm_version": version, **payload}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
@@ -60,7 +59,6 @@ def _cached(cfg, compute):
         return compute(cfg)
     command = cfg["command"]
     payload = {k: v for k, v in cfg.items() if k != "cache_dir"}
-    os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"{command}-{_cache_key(payload, VERSIONS[command])}.json")
     if os.path.exists(path):
         try:
@@ -76,12 +74,15 @@ def _cached(cfg, compute):
     return result
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+def _emit(text: str, args):
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _refuse(f"lshapearc {args.command}", f"cannot write {args.out}: {exc.strerror}")
 
 
 def _parse_ns(args) -> list:
@@ -91,7 +92,7 @@ def _parse_ns(args) -> list:
         k0, k1 = args.sweep
         return [2**k for k in range(k0, k1 + 1)]
     if args.list:
-        return args.list
+        return sorted(args.list)
     _refuse(f"lshapearc {args.command}", "one of --n, --sweep, --list is required")
 
 
@@ -104,13 +105,47 @@ def _map_jobs(fn, tasks, jobs):
 
 
 # ---------------------------------------------------------------------------
-# workers (module-level for pickling)
+# sweep commands: each maps (n, its own options) to its CSV rows at degree n
 # ---------------------------------------------------------------------------
 
 
 def _build(n, family_kind):
     return build_adjusted(n) if family_kind == "adjusted" else build_raw(n)
 
+
+def _lebesgue_rows(n, family, grid_per_gap):
+    rec = lebesgue_constant(_build(n, family), grid_per_gap=grid_per_gap)
+    over = rec.value / np.log(n) if n >= 2 else float("nan")
+    return [f"{n},{family},{_fmt(rec.value)},{_fmt(over)},{_fmt(rec.location)},{grid_per_gap},"
+            f"{rec.settings['refine_tol']:g}"]
+
+
+def _minmax_rows(n, rho):
+    convention = "one_over_n_plus_1" if rho == "n+1" else "one_over_n"
+    lo, hi = level_minmax(n, convention=convention)
+    return [f"{n},{_fmt(LevelCurve(n, convention).rho)},{_fmt(lo.value)},{_fmt(hi.value)},{_fmt(hi.value / lo.value)}"]
+
+
+def _apweight_rows(n, p):
+    # one window per degree covers every --p; its rows come back in --p order
+    return [f"{n},{rec.p:g},{_fmt(rec.value)},{rec.settings['window_step_denom']},{rec.settings['window_max']}"
+            for rec in muckenhoupt_constant(n, p)]
+
+
+def _mzratio_rows(n, p, quad_tol):
+    rec = mz_ratio(n, p, quad_tol=quad_tol)
+    return [f"{n},{p:g},{int(rec.location)},{_fmt(rec.value)},{_fmt(rec.settings['dist'])}"]
+
+
+# header: the CSV's first line; value: the column `fit` reads; options: the argument names passed to rows
+_Sweep = namedtuple("_Sweep", "header value rows options")
+SWEEPS = {
+    "lebesgue": _Sweep("n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol", "L_n", _lebesgue_rows,
+                       ("family", "grid_per_gap")),
+    "minmax": _Sweep("n,rho,min,max,ratio", "ratio", _minmax_rows, ("rho",)),
+    "apweight": _Sweep("n,p,M_n,step_denom,window_max", "M_n", _apweight_rows, ("p",)),
+    "mzratio": _Sweep("n,p,k,R,dist", "R", _mzratio_rows, ("p", "quad_tol")),
+}
 
 # bump a command's algorithm version whenever its numbers may change
 VERSIONS = {
@@ -121,33 +156,10 @@ VERSIONS = {
 }
 
 
-def _lebesgue(cfg):
-    fam = _build(cfg["n"], cfg["family"])
-    rec = lebesgue_constant(fam, grid_per_gap=cfg["grid_per_gap"])
-    return {"n": cfg["n"], "family": cfg["family"], "L": rec.value, "argmax_t": rec.location,
-            "refine_tol": rec.settings["refine_tol"]}
-
-
-def _minmax(cfg):
-    lo, hi = level_minmax(cfg["n"], convention=cfg["convention"])
-    return {"n": cfg["n"], "rho": LevelCurve(cfg["n"], cfg["convention"]).rho, "min": lo.value, "max": hi.value}
-
-
-def _apweight(cfg):
-    recs = muckenhoupt_constant(cfg["n"], cfg["ps"], window_max=cfg["window_max"])
-    return [{"n": cfg["n"], "p": rec.p, "M": rec.value,
-             "step_denom": rec.settings["window_step_denom"], "window_max": rec.settings["window_max"]} for rec in recs]
-
-
-def _mzratio(cfg):
-    rec = mz_ratio(cfg["n"], cfg["p"], quad_tol=cfg["quad_tol"])
-    return {"n": cfg["n"], "p": cfg["p"], "k": int(rec.location), "R": rec.value, "dist": rec.settings["dist"]}
-
-
 def _task(cfg):
-    """One sweep entry: the result of cfg's command for cfg, through the cache."""
-    compute = {"lebesgue": _lebesgue, "minmax": _minmax, "apweight": _apweight, "mzratio": _mzratio}
-    return _cached(cfg, compute[cfg["command"]])
+    """One sweep entry {command, cache_dir, n, own options}: its CSV rows, through the cache."""
+    rows = SWEEPS[cfg["command"]].rows
+    return _cached(cfg, lambda c: rows(**{k: v for k, v in c.items() if k not in ("command", "cache_dir")}))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +170,7 @@ def _task(cfg):
 def cmd_nodes(args):
     fam = _build(args.n, args.family)
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": DOC_VERSION,
         "config": {"n": args.n, "family": args.family},
         "n": fam.n,
         "family": fam.kind,
@@ -167,49 +179,29 @@ def cmd_nodes(args):
         "points": [[z.real, z.imag] for z in fam.points],
         "adjusted_pairs": [list(p) for p in fam.adjusted_pairs],
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
     return 0
 
 
-def _sweep(args, command, configs, header, row):
-    """Run `command` over `configs` in order and emit a CSV: the header, then row(result) for each."""
-    cache_dir = _cache_dir(args)
-    results = _map_jobs(_task, [dict(c, command=command, cache_dir=cache_dir) for c in configs], args.jobs)
-    _emit("\n".join([header] + [row(r) for r in results]) + "\n", args.out)
+def cmd_sweep(args):
+    """The CSV of a sweep command: its header, then its rows at each degree in increasing order."""
+    prog, sweep = f"lshapearc {args.command}", SWEEPS[args.metric]
+    ns = _parse_ns(args)
+    if args.metric == "minmax" and args.rho == "n" and 0 in ns:
+        _refuse(prog, "--rho n needs degrees of at least 1")
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
+    try:  # an unusable path is refused before anything is computed
+        if args.out:
+            open(args.out, "a").close()
+        if cache_dir:
+            os.makedirs(cache_dir, exist_ok=True)
+    except OSError as exc:
+        _refuse(prog, f"cannot use {exc.filename}: {exc.strerror}")
+    own = {o: getattr(args, o) for o in sweep.options}
+    configs = [dict(own, command=args.metric, cache_dir=cache_dir, n=n) for n in ns]
+    rows = [row for rs in _map_jobs(_task, configs, args.jobs) for row in rs]
+    _emit("\n".join([sweep.header] + rows) + "\n", args)
     return 0
-
-
-def cmd_lebesgue(args):
-    def row(r):
-        over = r["L"] / np.log(r["n"]) if r["n"] >= 2 else float("nan")
-        return f"{r['n']},{r['family']},{_fmt(r['L'])},{_fmt(over)},{_fmt(r['argmax_t'])},{args.grid_per_gap},{r['refine_tol']:g}"
-
-    configs = [{"n": n, "family": args.family, "grid_per_gap": args.grid_per_gap} for n in sorted(_parse_ns(args))]
-    return _sweep(args, "lebesgue", configs, "n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol", row)
-
-
-def cmd_minmax(args):
-    ns = sorted(_parse_ns(args))
-    if args.rho == "n" and 0 in ns:
-        _refuse("lshapearc minmax", "--rho n needs degrees of at least 1")
-    convention = "one_over_n_plus_1" if args.rho == "n+1" else "one_over_n"
-    configs = [{"n": n, "convention": convention} for n in ns]
-    return _sweep(args, "minmax", configs, "n,rho,min,max,ratio",
-                  lambda r: f"{r['n']},{_fmt(r['rho'])},{_fmt(r['min'])},{_fmt(r['max'])},{_fmt(r['max'] / r['min'])}")
-
-
-def cmd_apweight(args):
-    # one config per degree covers every --p; its rows come back in --p order
-    configs = [{"n": n, "ps": args.p, "window_max": args.window_max} for n in sorted(_parse_ns(args))]
-    return _sweep(args, "apweight", configs, "n,p,M_n,step_denom,window_max",
-                  lambda rs: "\n".join(f"{r['n']},{r['p']:g},{_fmt(r['M'])},{r['step_denom']},{r['window_max']}"
-                                       for r in rs))
-
-
-def cmd_mzratio(args):
-    configs = [{"n": n, "p": args.p, "quad_tol": args.quad_tol} for n in sorted(_parse_ns(args))]
-    return _sweep(args, "mzratio", configs, "n,p,k,R,dist",
-                  lambda r: f"{r['n']},{r['p']:g},{r['k']},{_fmt(r['R'])},{_fmt(r['dist'])}")
 
 
 def cmd_fit(args):
@@ -220,7 +212,7 @@ def cmd_fit(args):
             rows = [line.strip().split(",") for line in fh if line.strip()]
     except OSError as exc:
         _refuse(prog, f"cannot read {args.input}: {exc.strerror}")
-    col = args.value_col or next((c for c in ("L_n", "M_n", "R", "ratio") if c in header), None)
+    col = args.value_col or next((s.value for s in SWEEPS.values() if s.value in header), None)
     if col is None:
         _refuse(prog, f"no known value column in {header}; use --value-col")
     model = "affine_in_logn" if args.model == "affine" else "power_law"
@@ -235,7 +227,7 @@ def cmd_fit(args):
     except (ValueError, IndexError) as exc:
         _refuse(prog, f"{args.input}: {exc}")
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": DOC_VERSION,
         "model": fit.model,
         "a": fit.a,
         "b": fit.b,
@@ -245,7 +237,7 @@ def cmd_fit(args):
         "value_column": col,
         "predictions": [{"n": n, "value": v, "fitted": fit.predict(n)} for n, v in pairs],
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
     return 0
 
 
@@ -261,7 +253,7 @@ def cmd_verify(args):
         failures += 0 if ok else 1
         lines.append(f"{status}  {name:<{width}}  {detail}")
     lines.append(f"{len(results) - failures}/{len(results)} invariant checks passed")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", args)
     return 0 if failures == 0 else 1
 
 
@@ -296,8 +288,8 @@ def _checked(parse, ok, what):
 
 
 _DEGREE = _checked(int, lambda n: n >= 0, "a nonnegative integer")
-_DEGREES = _checked(lambda s: [int(x) for x in s.split(",")], lambda ns: min(ns) >= 0,
-                    "comma-separated nonnegative integers")
+_DEGREES = _checked(lambda s: [int(x) for x in s.split(",")], lambda ns: min(ns) >= 0 and len(set(ns)) == len(ns),
+                    "comma-separated distinct nonnegative integers")
 _SWEEP = _checked(lambda s: [int(x) for x in s.split("..")], lambda ks: len(ks) == 2 and 0 <= ks[0] <= ks[1],
                   "k0..k1 with integers 0 <= k0 <= k1")
 _POSITIVE = _checked(int, lambda m: m >= 1, "a positive integer")
@@ -307,7 +299,9 @@ _EXPONENTS = _checked(lambda s: [float(x) for x in s.split(",")], lambda ps: all
 _TOLERANCE = _checked(float, lambda x: 0 < x < float("inf"), "a positive finite number")
 
 
-def _add_common(sp):
+def _add_common(sp, metric):
+    """The options every sweep command shares; `metric` names its SWEEPS entry."""
+    sp.set_defaults(func=cmd_sweep, metric=metric)
     sp.add_argument("--n", type=_DEGREE, default=None, help="single degree")
     sp.add_argument("--sweep", type=_SWEEP, help="powers-of-two range k0..k1 (degrees 2^k0..2^k1)")
     sp.add_argument("--list", type=_DEGREES, help="comma-separated explicit degrees")
@@ -329,27 +323,22 @@ def build_parser():
 
     for name in ("lebesgue", "sweep"):
         sp = sub.add_parser(name, help="Lebesgue constants (CSV)")
-        _add_common(sp)
+        _add_common(sp, "lebesgue")
         sp.add_argument("--family", choices=["raw", "adjusted"], default="adjusted")
         sp.add_argument("--grid-per-gap", type=_checked(int, lambda g: g >= 8, "an integer >= 8"), default=64)
-        sp.set_defaults(func=cmd_lebesgue)
 
     sp = sub.add_parser("minmax", help="level-curve extrema of the nodal magnitude (CSV)")
-    _add_common(sp)
+    _add_common(sp, "minmax")
     sp.add_argument("--rho", choices=["n", "n+1"], default="n+1")
-    sp.set_defaults(func=cmd_minmax)
 
     sp = sub.add_parser("apweight", help="Muckenhoupt A_p constants (CSV)")
-    _add_common(sp)
+    _add_common(sp, "apweight")
     sp.add_argument("--p", type=_EXPONENTS, default="2", help="comma-separated exponents > 1")
-    sp.add_argument("--window-max", type=_POSITIVE, default=None)
-    sp.set_defaults(func=cmd_apweight)
 
     sp = sub.add_parser("mzratio", help="basis-integral to level-distance ratios (CSV)")
-    _add_common(sp)
+    _add_common(sp, "mzratio")
     sp.add_argument("--p", type=_EXPONENT, default="2")
     sp.add_argument("--quad-tol", type=_TOLERANCE, default=1e-8)
-    sp.set_defaults(func=cmd_mzratio)
 
     sp = sub.add_parser("fit", help="growth-law fit of a sweep CSV (JSON)")
     sp.add_argument("input", help="CSV produced by a sweep command")

@@ -112,6 +112,16 @@ def test_sweep_cache_replay(tmp_path, monkeypatch):
     assert a.read_bytes() == c.read_bytes()
 
 
+def _refused_in_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"lshapearc {argv[0]}: error: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -131,18 +141,30 @@ def test_sweep_cache_replay(tmp_path, monkeypatch):
         ["apweight", "--n", "16", "--window-step-denom", "64"],
         ["apweight", "--n", "16", "--p", "inf"],
         ["mzratio", "--n", "16", "--p", "inf"],
+        ["minmax", "--list", "16,16,16,16"],
+        ["sweep", "--list", "0,16,0"],
     ],
 )
-def test_bad_input_is_one_line_exit_2(argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "lshapearc.cli", *argv],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert len(proc.stderr.strip().splitlines()) == 1
-    assert proc.stderr.startswith(f"lshapearc {argv[0]}: error: ")
+def test_bad_input_is_one_line_exit_2(argv, capsys):
+    _refused_in_one_line(capsys, argv)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("option", ["--out", "--cache-dir"])
+def test_sweep_refuses_unusable_path_before_computing(tmp_path, capsys, monkeypatch, option, jobs):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = tmp_path / "missing" / "x.csv" if option == "--out" else blocker / "sub"
+
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the path was refused")
+
+    monkeypatch.setattr(cli, "lebesgue_constant", computed)
+    _refused_in_one_line(capsys, ["sweep", "--list", "4,8", "--jobs", jobs, option, str(path)])
+
+
+def test_nodes_refuses_unusable_out(tmp_path, capsys):
+    _refused_in_one_line(capsys, ["nodes", "--n", "4", "--out", str(tmp_path / "missing" / "nodes.json")])
 
 
 def test_minmax_csv(tmp_path):
@@ -200,6 +222,21 @@ def test_fit_affine_on_lebesgue_csv(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["a"] == pytest.approx(1.0, abs=1e-6)
     assert doc["b"] == pytest.approx(0.1, abs=1e-6)
+    _assert_predictions(doc)
+
+
+@pytest.mark.parametrize("command, column", [("lebesgue", "L_n"), ("minmax", "ratio"), ("apweight", "M_n"),
+                                             ("mzratio", "R")])
+def test_fit_finds_value_column_of_each_sweep_csv(tmp_path, command, column):
+    header = cli.SWEEPS[command].header.split(",")
+    rows = [[str(n) if c == "n" else f"{2.0 * n ** 0.5:.6f}" if c == column else "0" for c in header]
+            for n in (16, 32, 64, 128)]
+    csv, out = tmp_path / f"{command}.csv", tmp_path / "fit.json"
+    csv.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+    run_cli(["fit", str(csv), "--model", "power", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["value_column"] == column
+    assert doc["beta"] == pytest.approx(0.5, abs=1e-6)
     _assert_predictions(doc)
 
 
