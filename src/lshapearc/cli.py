@@ -9,6 +9,7 @@ and exit code 2.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -47,7 +48,10 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cache_key(payload: dict, version: str) -> str:
+def _cache_key(cfg: dict) -> str:
+    """Hash of the cache schema, the command's algorithm version and every setting of cfg but its cache_dir."""
+    payload = {k: v for k, v in cfg.items() if k != "cache_dir"}
+    version = SWEEPS[cfg["command"]].version
     blob = json.dumps({"schema_version": SCHEMA_VERSION, "algorithm_version": version, **payload}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
@@ -57,9 +61,7 @@ def _cached(cfg, compute):
     cache_dir = cfg["cache_dir"]
     if cache_dir is None:
         return compute(cfg)
-    command = cfg["command"]
-    payload = {k: v for k, v in cfg.items() if k != "cache_dir"}
-    path = os.path.join(cache_dir, f"{command}-{_cache_key(payload, VERSIONS[command])}.json")
+    path = os.path.join(cache_dir, f"{cfg['command']}-{_cache_key(cfg)}.json")
     if os.path.exists(path):
         try:
             with open(path) as fh:
@@ -137,22 +139,18 @@ def _mzratio_rows(n, p, quad_tol):
     return [f"{n},{p:g},{int(rec.location)},{_fmt(rec.value)},{_fmt(rec.settings['dist'])}"]
 
 
-# header: the CSV's first line; value: the column `fit` reads; options: the argument names passed to rows
-_Sweep = namedtuple("_Sweep", "header value rows options")
+# header: the CSV's first line; value: the column `fit` reads; options: the argument names passed to rows;
+# version: the algorithm version in the cache key, bumped whenever the command's numbers may change
+_Sweep = namedtuple("_Sweep", "header value rows options version")
 SWEEPS = {
+    # version 2: max searched on the upper arm, argmax_t in [0, 2pi/3]
     "lebesgue": _Sweep("n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol", "L_n", _lebesgue_rows,
-                       ("family", "grid_per_gap")),
-    "minmax": _Sweep("n,rho,min,max,ratio", "ratio", _minmax_rows, ("rho",)),
-    "apweight": _Sweep("n,p,M_n,step_denom,window_max", "M_n", _apweight_rows, ("p",)),
-    "mzratio": _Sweep("n,p,k,R,dist", "R", _mzratio_rows, ("p", "quad_tol")),
-}
-
-# bump a command's algorithm version whenever its numbers may change
-VERSIONS = {
-    "lebesgue": "2",  # 2: max searched on the upper arm, argmax_t in [0, 2pi/3]
-    "minmax": "1",
-    "apweight": "3",  # 3: window centred at |t0|, q-power sums shifted to stay finite
-    "mzratio": "3",  # 3: ratio index nearest the level minimum at |t0|
+                       ("family", "grid_per_gap"), "2"),
+    "minmax": _Sweep("n,rho,min,max,ratio", "ratio", _minmax_rows, ("rho",), "1"),
+    # version 3: window centred at |t0|, q-power sums shifted to stay finite
+    "apweight": _Sweep("n,p,M_n,step_denom,window_max", "M_n", _apweight_rows, ("p",), "3"),
+    # version 3: ratio index nearest the level minimum at |t0|
+    "mzratio": _Sweep("n,p,k,R,dist", "R", _mzratio_rows, ("p", "quad_tol"), "3"),
 }
 
 
@@ -219,21 +217,12 @@ def cmd_fit(args):
     try:
         i_n, i_v = header.index("n"), header.index(col)
         pairs = [(int(r[i_n]), float(r[i_v])) for r in rows]
-        ns = [n for n, _ in pairs]
-        repeated = [n for i, n in enumerate(ns) if n in ns[:i]]
-        if repeated:  # e.g. an apweight CSV with several --p, which one fit would pool
-            _refuse(prog, f"{args.input}: degree n = {repeated[0]} is in more than one row; fit one series at a time")
         fit = fit_growth(pairs, model)
     except (ValueError, IndexError) as exc:
         _refuse(prog, f"{args.input}: {exc}")
     doc = {
         "schema_version": DOC_VERSION,
-        "model": fit.model,
-        "a": fit.a,
-        "b": fit.b,
-        "beta": fit.beta,
-        "residual_rms": fit.residual_rms,
-        "n_range": list(fit.n_range),
+        **dataclasses.asdict(fit),
         "value_column": col,
         "predictions": [{"n": n, "value": v, "fitted": fit.predict(n)} for n, v in pairs],
     }
@@ -294,8 +283,9 @@ _SWEEP = _checked(lambda s: [int(x) for x in s.split("..")], lambda ks: len(ks) 
                   "k0..k1 with integers 0 <= k0 <= k1")
 _POSITIVE = _checked(int, lambda m: m >= 1, "a positive integer")
 _EXPONENT = _checked(float, lambda p: 1 < p < float("inf"), "a finite exponent > 1")
-_EXPONENTS = _checked(lambda s: [float(x) for x in s.split(",")], lambda ps: all(1 < p < float("inf") for p in ps),
-                      "comma-separated finite exponents > 1")
+_EXPONENTS = _checked(lambda s: [float(x) for x in s.split(",")],
+                      lambda ps: all(1 < p < float("inf") for p in ps) and len(set(ps)) == len(ps),
+                      "comma-separated distinct finite exponents > 1")
 _TOLERANCE = _checked(float, lambda x: 0 < x < float("inf"), "a positive finite number")
 
 

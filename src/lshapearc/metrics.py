@@ -19,7 +19,6 @@ from .conformal import (
 from .families import NodeFamily, build_adjusted, build_raw, theta_grid
 from .fold import fold_sister
 from .nodal import (
-    DerivativeTable,
     build_derivative_table,
     lebesgue_function,
     lebesgue_function_grid,
@@ -261,37 +260,36 @@ def muckenhoupt_constant(n: int, ps, window_max: int = None) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _check_degree(n: int, family: NodeFamily):
+    """Refuse a family of another degree, whose result would be right for neither."""
+    if family.n != n:
+        raise ValueError(f"the family has degree {family.n}, not n = {n}")
+
+
 def choose_ratio_index(n: int, family: NodeFamily) -> int:
     """Node index nearest the level-curve minimum of the nodal magnitude,
     at the level-scan minimum t0 (`_level_min_angle`), the A_p window centre."""
+    _check_degree(n, family)
     curve = LevelCurve(n)
     zmin = complex(level_point(curve, _level_min_angle(family.points, curve)))
     return int(np.argmin(np.abs(family.points - zmin)))
 
 
-def mz_ratio(
-    n: int,
-    p: float,
-    k: int = None,
-    quad_tol: float = 1e-8,
-    family: NodeFamily = None,
-    table: DerivativeTable = None,
-) -> MetricRecord:
+def mz_ratio(n: int, p: float, k: int = None, quad_tol: float = 1e-8, family: NodeFamily = None) -> MetricRecord:
     """Arc integral of |P_{n,k}|^p divided by the node's level-curve distance.
 
-    P_{n,k} is the canonical Lagrange basis element of the adjusted
-    family; the integral runs over both arm segments with adaptive
-    quadrature split at every node position.
+    P_{n,k} is the canonical Lagrange basis element of `family`, by
+    default the adjusted family of degree n; the integral runs over both
+    arm segments with adaptive quadrature split at every node position.
     """
     if not 1 < p < np.inf:
         raise ValueError("p must be finite and exceed 1")
     fam = family if family is not None else build_adjusted(n)
-    if table is None:
-        table = build_derivative_table(fam)
+    _check_degree(n, fam)
     if k is None:
         k = choose_ratio_index(n, fam)
     pts = fam.points
-    log_dk = table.logs[k]
+    log_dk = build_derivative_table(fam).logs[k]
 
     total = 0.0
     for sgn in (1.0, -1.0):
@@ -330,16 +328,15 @@ def mz_ratio(
     )
 
 
-def mz_ratio_worst(n: int, p: float, k_subset, quad_tol: float = 1e-8) -> MetricRecord:
-    """Max of mz_ratio over a subset of node indices."""
+def mz_ratio_worst(n: int, p: float, k_subset) -> MetricRecord:
+    """Max of mz_ratio over a subset of node indices; the first of equal maxima."""
     k_subset = list(k_subset)
     if not k_subset:
         raise ValueError("k_subset must be nonempty")
     fam = build_adjusted(n)
-    table = build_derivative_table(fam)
     best = None
     for k in k_subset:
-        rec = mz_ratio(n, p, k=k, quad_tol=quad_tol, family=fam, table=table)
+        rec = mz_ratio(n, p, k=k, family=fam)
         if best is None or rec.value > best.value:
             best = rec
     return MetricRecord(
@@ -354,6 +351,7 @@ def separation_ok(n: int, family: NodeFamily, k: int) -> bool:
     Ratios at poorly separated indices spike by orders of magnitude and
     drown any growth-law fit; sweeps filter on this predicate.
     """
+    _check_degree(n, family)
     gaps = np.abs(np.delete(family.folded, k) - family.folded[k])
     return (n + 1) * gaps.min() >= 2.0 * np.pi / 3.0 - 1e-9
 
@@ -382,6 +380,9 @@ def fit_growth(records, model: str) -> FitResult:
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"non-finite observation (n, value) = ({ns[i]:g}, {vals[i]:g}) cannot be fitted")
+    repeated = [n for i, n in enumerate(ns) if n in ns[:i]]
+    if repeated:  # e.g. one degree at several exponents, which one fit would pool
+        raise ValueError(f"degree n = {repeated[0]:g} is in more than one record; fit one series at a time")
     if len(ns) < 3:
         raise ValueError("need at least 3 records to fit")
     n_range = (int(ns.min()), int(ns.max()))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import boundary_point
-from .families import LevelNodes, NodeFamily, build_level_nodes, build_raw, k1_k2_locate
+from .families import NodeFamily, build_level_nodes, build_raw, k1_k2_locate
 
 # cap on rows*columns of one block, so that its complex differences (2 MB)
 # and logs (1 MB) stay in cache: of 2^12..2^22 cells, the fastest or near it
@@ -137,7 +137,7 @@ def lebesgue_function_grid(f: NodeFamily, table: DerivativeTable, zs: np.ndarray
     return _pair_logs(np.asarray(zs, dtype=complex), f.points, _lebesgue_sums(table.logs))
 
 
-def asymptotic_omega_estimate(n: int, t: float, raw: NodeFamily = None, level: LevelNodes = None) -> float:
+def asymptotic_omega_estimate(n: int, t: float) -> float:
     """Four-factor surrogate for |omega_n| on the arc.
 
     At z = boundary_point(t) the nodal magnitude is comparable to
@@ -146,10 +146,7 @@ def asymptotic_omega_estimate(n: int, t: float, raw: NodeFamily = None, level: L
     the level curve rho = 1 + 1/n.  Symmetric in t by conjugation.
     """
     ta = abs(t)
-    if raw is None:
-        raw = build_raw(n)
-    if level is None:
-        level = build_level_nodes(n, "one_over_n")
+    raw, level = build_raw(n), build_level_nodes(n, "one_over_n")
     k1, k2 = k1_k2_locate(n, ta)
     z = boundary_point(ta)
     num = abs((z - raw.points[k1]) * (z - raw.points[k2]))

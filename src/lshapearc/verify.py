@@ -233,12 +233,11 @@ def _check_surrogate_band():
     ratios = {}
     for n in [64, 128, 256, 512, 1024]:
         raw = build_raw(n)
-        lvl = build_level_nodes(n, "one_over_n")
         th = theta_grid(n)
         band = []
         for k in range(3):
             t = (th[k] + th[k + 1]) / 2.0
-            est = asymptotic_omega_estimate(n, t, raw=raw, level=lvl)
+            est = asymptotic_omega_estimate(n, t)
             true = np.exp(log_abs_omega(raw, complex(boundary_point(t))))
             band.append(true / est)
         ratios[n] = (min(band), max(band))

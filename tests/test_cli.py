@@ -11,6 +11,10 @@ from lshapearc import cli, verify
 from lshapearc.cli import main
 from lshapearc.metrics import FitResult
 
+# subprocesses import lshapearc from where this process found it, installed or not
+_SRC = os.path.dirname(os.path.dirname(cli.__file__))
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
+
 
 def run_cli(args):
     return main(args)
@@ -80,7 +84,7 @@ def test_sweep_jobs_after_kernel_pool_started(tmp_path):
     )
     # its own process group, so that a hang is killed with the forked workers
     proc = subprocess.Popen([sys.executable, "-c", code, str(b)], stderr=subprocess.PIPE, text=True,
-                            start_new_session=True)
+                            start_new_session=True, env=_ENV)
     try:
         _, err = proc.communicate(timeout=120)
     except subprocess.TimeoutExpired:
@@ -89,6 +93,11 @@ def test_sweep_jobs_after_kernel_pool_started(tmp_path):
         pytest.fail("sweep --jobs 2 hung after the kernel's thread pool had started")
     assert proc.returncode == 0, err
     assert a.read_bytes() == b.read_bytes()
+
+
+def _bump_version(monkeypatch, command):
+    sweep = cli.SWEEPS[command]
+    monkeypatch.setitem(cli.SWEEPS, command, sweep._replace(version=sweep.version + "-bumped"))
 
 
 def test_sweep_cache_replay(tmp_path, monkeypatch):
@@ -106,10 +115,24 @@ def test_sweep_cache_replay(tmp_path, monkeypatch):
     run_cli(args + ["--out", str(c)])
     assert a.read_bytes() == c.read_bytes()
     # a bumped algorithm version misses every old entry and writes its own
-    monkeypatch.setitem(cli.VERSIONS, "lebesgue", cli.VERSIONS["lebesgue"] + "-bumped")
+    _bump_version(monkeypatch, "lebesgue")
     run_cli(args + ["--out", str(c)])
     assert len(sorted(cache.glob("lebesgue-*.json"))) == 4
     assert a.read_bytes() == c.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, own, key",
+    [
+        ("lebesgue", {"family": "adjusted", "grid_per_gap": 64}, "1eade755a02e43f10fa5aff6"),
+        ("minmax", {"rho": "n+1"}, "17d22964c6c035124e7682b9"),
+        ("apweight", {"p": [2.0, 4.0]}, "c84aee0ce95eba3c72fc17c4"),
+        ("mzratio", {"p": 2.0, "quad_tol": 1e-8}, "01af803b1f6a1c4d55153828"),
+    ],
+)
+def test_cache_key_pinned(command, own, key):
+    # entries written before stay valid; a version bump must change the literal on purpose
+    assert cli._cache_key(dict(own, command=command, cache_dir="cache", n=16)) == key
 
 
 def _refused_in_one_line(capsys, argv):
@@ -143,6 +166,8 @@ def _refused_in_one_line(capsys, argv):
         ["mzratio", "--n", "16", "--p", "inf"],
         ["minmax", "--list", "16,16,16,16"],
         ["sweep", "--list", "0,16,0"],
+        ["apweight", "--n", "16", "--p", "2,2"],
+        ["apweight", "--n", "16", "--p", "2,2.0,4"],
     ],
 )
 def test_bad_input_is_one_line_exit_2(argv, capsys):
@@ -302,6 +327,7 @@ def test_fit_affine_refuses_degree_zero_before_any_log(tmp_path):
         [sys.executable, "-m", "lshapearc.cli", "fit", str(csv), "--model", "affine"],
         capture_output=True,
         text=True,
+        env=_ENV,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -323,7 +349,7 @@ def test_apweight_cache_one_entry_per_degree(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
     assert len(a.read_text().splitlines()) == 5
     # a bumped algorithm version misses both entries and writes its own
-    monkeypatch.setitem(cli.VERSIONS, "apweight", cli.VERSIONS["apweight"] + "-bumped")
+    _bump_version(monkeypatch, "apweight")
     run_cli(args + ["--out", str(b)])
     assert len(sorted(cache.glob("apweight-*.json"))) == 4
     assert a.read_bytes() == b.read_bytes()
@@ -348,6 +374,7 @@ def test_cli_entrypoint_runs():
         [sys.executable, "-m", "lshapearc.cli", "nodes", "--n", "4"],
         capture_output=True,
         text=True,
+        env=_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 4

@@ -5,6 +5,7 @@ from lshapearc import metrics
 from lshapearc.conformal import CORNER_ANGLE, LevelCurve, arc_length, boundary_point, dist_to_level, level_point
 from lshapearc.families import build_adjusted, build_raw
 from lshapearc.metrics import (
+    choose_ratio_index,
     fit_growth,
     lebesgue_constant,
     level_minmax,
@@ -12,6 +13,7 @@ from lshapearc.metrics import (
     muckenhoupt_constant,
     mz_ratio,
     mz_ratio_worst,
+    separation_ok,
 )
 from lshapearc.nodal import build_derivative_table, lebesgue_function, lebesgue_function_grid, log_abs_omega
 
@@ -209,6 +211,25 @@ def test_mz_ratio_finite_and_worst_dominates():
     assert worst.value >= rec.value - 1e-12
 
 
+@pytest.mark.parametrize("n", [16, 33])
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_mz_ratio_worst_is_the_first_max_of_mz_ratio(n, p):
+    ks = [3, 0, n // 2, 3, n]
+    fam = build_adjusted(n)
+    first = max((mz_ratio(n, p, k=k, family=fam) for k in ks), key=lambda rec: rec.value)  # the first of equal maxima
+    worst = mz_ratio_worst(n, p, ks)
+    assert (worst.value, worst.location) == (first.value, first.location)
+    assert worst.settings == dict(first.settings, k_subset=ks)
+
+
+def test_family_of_another_degree_is_refused():
+    fam = build_adjusted(32)
+    for call in (lambda: mz_ratio(16, 2.0, family=fam), lambda: choose_ratio_index(16, fam),
+                 lambda: separation_ok(16, fam, 3)):
+        with pytest.raises(ValueError, match="degree 32, not n = 16"):
+            call()
+
+
 def test_fit_affine_recovery():
     ns = [16, 32, 64, 128, 256]
     vals = [(0.4 + 0.11 * np.log(n)) * np.log(n) for n in ns]
@@ -235,3 +256,6 @@ def test_fit_errors():
         fit_growth([(16, 1.0), (32, 2.0), (64, 3.0)], "parabola")
     with pytest.raises(ValueError, match="n = 1"):
         fit_growth([(1, 1.0), (16, 2.0), (32, 3.0)], "affine_in_logn")
+    # one degree observed twice, as in an A_p table at several exponents: one fit would pool the series
+    with pytest.raises(ValueError, match="n = 16 is in more than one record"):
+        fit_growth([(16, 1.0), (16, 2.0), (32, 3.0), (64, 4.0)], "power_law")
