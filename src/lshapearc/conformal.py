@@ -4,12 +4,16 @@ The arc Gamma is the union of two equal line segments (arms) meeting at
 a right angle at the origin; `arm_point` parametrises them.  The map psi
 sends the exterior of the unit disk onto the complement of Gamma, fixing
 infinity, with psi(w)/w -> 1 as |w| -> oo.
+
+`dist_to_level` minimises with `_brent.minimize_bounded`, the
+in-package port of scipy's bounded Brent, so this module loads no scipy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+
+from ._brent import minimize_bounded
 
 # endpoint magnitude of the arc: |psi(e^{i*2pi/3})| = 27^(1/4)
 ENDPOINT_RADIUS = 27.0 ** 0.25
@@ -133,11 +137,6 @@ def dist_to_level(z: complex, curve: LevelCurve, seed_angles) -> float:
 
     best = np.inf
     for s in seeds:
-        res = minimize_scalar(
-            g,
-            bounds=(s - 0.75, s + 0.75),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
+        res = minimize_bounded(g, (s - 0.75, s + 0.75), xatol=1e-12)
         best = min(best, float(res.fun), g(s))
     return best

@@ -10,10 +10,13 @@ with psi(e^{ij}) = psi(e^{it}), characterized by
 J is strictly decreasing with J(2pi/3) = 2pi/3 and J(pi) = 0, and
 J'(t) < -1 on the open interval.  Negative angles fold by oddness,
 J(-t) = -J(t).
+
+Only the reference solver `fold_oracle` uses scipy (`brentq`), and it
+imports it when called, so the closed form, `unfold` and everything
+built on them load no scipy.
 """
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .conformal import CORNER_ANGLE
 
@@ -96,6 +99,8 @@ def fold_oracle(t: float) -> float:
 
     Independent of the closed form; serves as its correctness oracle.
     """
+    from scipy.optimize import brentq
+
     _check_range(np.asarray(abs(t)), CORNER_ANGLE, np.pi, "|t|")
     sign = -1.0 if t < 0 else 1.0
     ta = min(max(abs(t), CORNER_ANGLE), np.pi)

@@ -1,12 +1,21 @@
 """Headline metrics: Lebesgue constants, level-curve extrema, Muckenhoupt
-A_p constants, Marcinkiewicz-Zygmund ratios, and growth-law fits."""
+A_p constants, Marcinkiewicz-Zygmund ratios, and growth-law fits.
+
+The bounded minimiser behind every polish and the power-law fit is the
+in-package port of scipy's bounded Brent, `_brent.minimize_bounded`, so
+importing or running these metrics loads no scipy; only `mz_ratio`'s
+`quad` loads scipy.integrate, on its first call.  The two keep the
+module-level names `minimize_scalar` and `quad`, and are called through
+them, because bench/tracer.py wraps those names to count polish and
+quadrature evaluations (until its counters move into the program,
+ROADMAP item 1(b)).
+"""
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
+from ._brent import minimize_bounded as minimize_scalar
 from .conformal import (
     CORNER_ANGLE,
     ENDPOINT_RADIUS,
@@ -65,7 +74,7 @@ class FitResult:
 def _polish(g, t, v, lo, hi, xatol):
     """(value, location) of the bounded-Brent minimum of g on [lo, hi], or
     of the grid sample v = g(t) unless the minimum is strictly below it."""
-    res = minimize_scalar(g, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    res = minimize_scalar(g, (lo, hi), xatol=xatol)
     return (float(res.fun), float(res.x)) if res.fun < v else (float(v), float(t))
 
 
@@ -260,6 +269,13 @@ def muckenhoupt_constant(n: int, ps, window_max: int = None) -> list:
 # ---------------------------------------------------------------------------
 
 
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on the first call rather than with the package."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
+
+
 def _check_degree(n: int, family: NodeFamily):
     """Refuse a family of another degree, whose result would be right for neither."""
     if family.n != n:
@@ -397,7 +413,7 @@ def fit_growth(records, model: str) -> FitResult:
             r = _affine_lstsq(ns**beta, vals)[1]
             return float(r @ r)
 
-        res = minimize_scalar(sse, bounds=(0.05, 2.0), method="bounded", options={"xatol": 1e-6})
+        res = minimize_scalar(sse, (0.05, 2.0), xatol=1e-6)
         beta = float(res.x)
         x, y = ns**beta, vals
     else:

@@ -1,8 +1,10 @@
 """The names and call shapes of lshapearc that bench/tracer.py relies on.
 
 The tracer wraps lshapearc's functions by name, attributes
-`minimize_scalar` calls to the metric that made them, and recognises a
-level scan by its size (64 samples per node).  This installs it as
+`minimize_scalar` calls to the metric that made them, counts the
+integrand calls of `metrics.quad` (a module-level name that imports
+scipy.integrate only when called), and recognises a level scan by its
+size (64 samples per node).  This installs it as
 bench/run.py does and runs one call of each traced search, so that a
 rename or restructuring that blinds a traced benchmark run fails here.
 """
@@ -34,6 +36,8 @@ def test_tracer_sees_level_scans_and_refinements():
         lshapearc.level_minmax(16)
         lshapearc.muckenhoupt_constant(16, [2.0])
         lshapearc.lebesgue_constant(lshapearc.build_adjusted(16))
+        lshapearc.mz_ratio(16, 2.0)
+        lshapearc.fit_growth([(16, 3.0), (32, 3.9), (64, 5.1), (128, 6.6)], "power_law")
     finally:
         tracer.uninstall()
 
@@ -41,6 +45,9 @@ def test_tracer_sees_level_scans_and_refinements():
         assert vars(mod).keys() == names.keys()
         assert all(vars(mod)[k] is v for k, v in names.items()), mod.__name__
     out = tracing.layer_metrics(tracer.spans)
-    assert out["metrics.level_scans"] == 2
+    # level_minmax, muckenhoupt_constant and mz_ratio's choose_ratio_index
+    assert out["metrics.level_scans"] == 3
     assert out["metrics.level_refine_evals"] > 0
     assert out["metrics.lebesgue_refine_evals"] > 0
+    assert out["metrics.mz_quad_evals"] > 0
+    assert out["metrics.fit_s"] > 0

@@ -378,3 +378,25 @@ def test_cli_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 4
+
+
+def test_commands_without_quadrature_load_no_scipy(tmp_path):
+    # scipy.optimize and scipy.integrate cost most of a cold start; only
+    # mzratio's quadrature and the fold oracle of verify may load them
+    fit_in = tmp_path / "fit.csv"
+    fit_in.write_text("n,R\n16,3.0\n32,3.9\n64,5.1\n128,6.6\n")
+    code = (
+        "import sys\n"
+        "import lshapearc, lshapearc.cli\n"
+        "d = sys.argv[1]\n"
+        "for argv in (['lebesgue', '--n', '16'], ['minmax', '--n', '16'], ['apweight', '--n', '16', '--p', '2'],\n"
+        "             ['nodes', '--n', '16'], ['fit', d + '/fit.csv', '--model', 'power']):\n"
+        "    assert lshapearc.cli.main(argv + ['--out', d + '/' + argv[0] + '.out']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.integrate'))))\n"
+    )
+    env = {k: v for k, v in _ENV.items() if k != cli.CACHE_ENV_VAR}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert json.loads((tmp_path / "fit.out").read_text())["model"] == "power_law"
+    assert (tmp_path / "lebesgue.out").read_text().splitlines()[1].startswith("16,adjusted,")
