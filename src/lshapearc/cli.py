@@ -235,12 +235,8 @@ def cmd_verify(args):
 
     results = run_all()
     width = max(len(name) for name, _, _ in results)
-    failures = 0
-    lines = []
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        failures += 0 if ok else 1
-        lines.append(f"{status}  {name:<{width}}  {detail}")
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}" for name, ok, detail in results]
+    failures = sum(not ok for _, ok, _ in results)
     lines.append(f"{len(results) - failures}/{len(results)} invariant checks passed")
     _emit("\n".join(lines) + "\n", args)
     return 0 if failures == 0 else 1
@@ -328,7 +324,7 @@ def build_parser():
     sp = sub.add_parser("mzratio", help="basis-integral to level-distance ratios (CSV)")
     _add_common(sp, "mzratio")
     sp.add_argument("--p", type=_EXPONENT, default="2")
-    sp.add_argument("--quad-tol", type=_TOLERANCE, default=1e-8)
+    sp.add_argument("--quad-tol", type=_TOLERANCE, default=1e-8, help="relative error target per node-to-node panel")
 
     sp = sub.add_parser("fit", help="growth-law fit of a sweep CSV (JSON)")
     sp.add_argument("input", help="CSV produced by a sweep command")

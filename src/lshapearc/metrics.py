@@ -1,16 +1,16 @@
 """Headline metrics: Lebesgue constants, level-curve extrema, Muckenhoupt
 A_p constants, Marcinkiewicz-Zygmund ratios, and growth-law fits.
 
-The bounded minimiser behind every polish and the power-law fit is the
-in-package port of scipy's bounded Brent, `_brent.minimize_bounded`, so
-importing or running these metrics loads no scipy; only `mz_ratio`'s
-`quad` loads scipy.integrate, on its first call.  The two keep the
-module-level names `minimize_scalar` and `quad`, and are called through
-them, because bench/tracer.py wraps those names to count polish and
-quadrature evaluations (until its counters move into the program,
-ROADMAP item 1(b)).
+No scipy runs here: every polish and the power-law fit use the port of
+scipy's bounded Brent in `_brent`, and `mz_ratio` integrates with the
+panel Gauss-Legendre rule `quad`.  The two keep the module-level names
+`minimize_scalar` and `quad`, and are called through them, because
+bench/tracer.py wraps those names to count polish evaluations and
+integrand calls (until its counters move into the program, ROADMAP
+item 1(b)).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +28,7 @@ from .conformal import (
 from .families import NodeFamily, build_adjusted, build_raw, theta_grid
 from .fold import fold_sister
 from .nodal import (
+    _pair_logs,
     build_derivative_table,
     lebesgue_function,
     lebesgue_function_grid,
@@ -145,14 +146,8 @@ def lower_bound_witness(n: int) -> MetricRecord:
     z0 = complex(boundary_point(t0))
     full = lebesgue_function(f, table, z0)
     partial = lebesgue_function(f, table, z0, upto=n // 6 + 1)
-    return MetricRecord(
-        "lower_bound_witness",
-        n,
-        "raw",
-        full,
-        location=t0,
-        settings={"partial_sum": partial, "partial_upto": n // 6},
-    )
+    return MetricRecord("lower_bound_witness", n, "raw", full, location=t0,
+                        settings={"partial_sum": partial, "partial_upto": n // 6})
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +264,45 @@ def muckenhoupt_constant(n: int, ps, window_max: int = None) -> list:
 # ---------------------------------------------------------------------------
 
 
-def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on the first call rather than with the package."""
-    from scipy.integrate import quad as scipy_quad
+_ABS_TOL = 1e-12  # absolute error target of one quad call, shared among its panels by length
+_MAX_PANELS = 200  # panels that halving may add per break interval, as scipy's quad limit
 
-    return scipy_quad(func, a, b, **kwargs)
+
+@functools.cache
+def _gauss_legendre():
+    """The 16-point rule on [-1, 1], and the (16, 2) matrix mapping its samples
+    to their Legendre coefficients c_14 and c_15; built on first use."""
+    from numpy.polynomial.legendre import leggauss, legvander
+
+    x, w = leggauss(16)
+    return x, w, w[:, None] * legvander(x, 15)[:, 14:] * np.array([14.5, 15.5])  # c_j = (j + 1/2) sum w P_j f
+
+
+def quad(func, breaks, rtol):
+    """(integral, points) of func over [breaks[0], breaks[-1]] by 16-point
+    Gauss-Legendre panels between the breaks, halved where needed.
+
+    Each level calls func once, on the points of every open panel.  A
+    panel's error estimate is its length times |c_14| + |c_15| of its own
+    samples; it is accepted once that is at most max(rtol, 64 ulp) times
+    its integral or its length's share of _ABS_TOL, or once halving has
+    added _MAX_PANELS per break interval.  Gaps under 1e-15 are skipped.
+    """
+    x, w, tail = _gauss_legendre()
+    keep = np.diff(breaks) >= 1e-15
+    lo, half = breaks[:-1][keep], np.diff(breaks)[keep] / 2.0
+    rtol, atol = max(rtol, 64 * np.finfo(float).eps), 2.0 * _ABS_TOL / (breaks[-1] - breaks[0])
+    budget, total, points = _MAX_PANELS * len(lo), 0.0, 0
+    while len(lo):
+        f = func(((lo + half)[:, None] + half[:, None] * x).ravel()).reshape(len(lo), -1)
+        points += f.size
+        val = half * (f @ w)
+        done = 2.0 * half * np.abs(f @ tail).sum(axis=1) <= np.maximum(rtol * val, atol * half)
+        budget -= 2 * np.count_nonzero(~done)
+        done |= budget < 0
+        total += val[done].sum()
+        lo, half = np.concatenate([lo[~done], lo[~done] + half[~done]]), np.tile(half[~done] / 2.0, 2)
+    return total, points
 
 
 def _check_degree(n: int, family: NodeFamily):
@@ -295,8 +324,11 @@ def mz_ratio(n: int, p: float, k: int = None, quad_tol: float = 1e-8, family: No
     """Arc integral of |P_{n,k}|^p divided by the node's level-curve distance.
 
     P_{n,k} is the canonical Lagrange basis element of `family`, by
-    default the adjusted family of degree n; the integral runs over both
-    arm segments with adaptive quadrature split at every node position.
+    default the adjusted family of degree n.  The integral runs over both
+    arm segments with `quad`, on panels between the node positions, each
+    level of panels in one call of the pair kernel; quad_tol is the
+    relative error target per panel and settings["quad_points"] counts
+    the points evaluated.
     """
     if not 1 < p < np.inf:
         raise ValueError("p must be finite and exceed 1")
@@ -307,41 +339,19 @@ def mz_ratio(n: int, p: float, k: int = None, quad_tol: float = 1e-8, family: No
     pts = fam.points
     log_dk = build_derivative_table(fam).logs[k]
 
-    total = 0.0
-    for sgn in (1.0, -1.0):
-        direction = arm_point(sgn, 1.0)
-        spos = np.abs(pts[np.sign(fam.folded) == sgn]) / ENDPOINT_RADIUS
-        breaks = np.unique(np.concatenate([[0.0, 1.0], spos]))
+    def basis_power(ld, rows):  # |P_{n,k}|^p at the rows' points
+        return np.exp(p * (ld.sum(axis=1) - log_dk - ld[:, k]))
 
-        # its own scalar path, not the block kernel: quad calls it once per
-        # sample, and the kernel's per-call setup makes each call ~1.6x slower
-        def integrand(s):
-            z = direction * s
-            with np.errstate(divide="ignore"):
-                ld = np.log(np.abs(z - pts))
-            lk = ld[k]
-            return float(np.exp(p * (ld.sum() - log_dk - lk)))
-
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            if b - a < 1e-15:
-                continue
-            val, _ = quad(integrand, a, b, epsabs=1e-12, epsrel=quad_tol, limit=200)
-            total += val
+    # s in [-1, 0] is the lower arm and s in [0, 1] the upper one, each at fraction |s| of its length
+    breaks = np.unique(np.concatenate([[-1.0, 0.0, 1.0], np.sign(fam.folded) * np.abs(pts) / ENDPOINT_RADIUS]))
+    total, points = quad(lambda s: _pair_logs(arm_point(np.sign(s), np.abs(s)), pts, basis_power), breaks, quad_tol)
     total *= ENDPOINT_RADIUS  # |dz| = 27^(1/4) ds on each segment
 
-    curve = LevelCurve(n)
-    zk = complex(pts[k])
-    seeds = [float(fam.angles[k]), fold_sister(float(fam.angles[k]))]
-    d = dist_to_level(zk, curve, seeds)
-    return MetricRecord(
-        "mz_ratio",
-        n,
-        fam.kind,
-        total / d,
-        p=p,
-        location=k,
-        settings={"integral": total, "dist": d, "quad_tol": quad_tol, "rho_convention": curve.convention},
-    )
+    curve, t = LevelCurve(n), float(fam.angles[k])
+    d = dist_to_level(complex(pts[k]), curve, [t, fold_sister(t)])
+    settings = {"integral": total, "dist": d, "quad_tol": quad_tol, "quad_points": points,
+                "rho_convention": curve.convention}
+    return MetricRecord("mz_ratio", n, fam.kind, total / d, p=p, location=k, settings=settings)
 
 
 def mz_ratio_worst(n: int, p: float, k_subset) -> MetricRecord:
@@ -350,15 +360,9 @@ def mz_ratio_worst(n: int, p: float, k_subset) -> MetricRecord:
     if not k_subset:
         raise ValueError("k_subset must be nonempty")
     fam = build_adjusted(n)
-    best = None
-    for k in k_subset:
-        rec = mz_ratio(n, p, k=k, family=fam)
-        if best is None or rec.value > best.value:
-            best = rec
-    return MetricRecord(
-        "mz_ratio_worst", n, fam.kind, best.value, p=p, location=best.location,
-        settings=dict(best.settings, k_subset=k_subset),
-    )
+    best = max((mz_ratio(n, p, k=k, family=fam) for k in k_subset), key=lambda rec: rec.value)
+    return MetricRecord("mz_ratio_worst", n, fam.kind, best.value, p=p, location=best.location,
+                        settings=dict(best.settings, k_subset=k_subset))
 
 
 def separation_ok(n: int, family: NodeFamily, k: int) -> bool:

@@ -2,11 +2,12 @@
 
 The tracer wraps lshapearc's functions by name, attributes
 `minimize_scalar` calls to the metric that made them, counts the
-integrand calls of `metrics.quad` (a module-level name that imports
-scipy.integrate only when called), and recognises a level scan by its
-size (64 samples per node).  This installs it as
-bench/run.py does and runs one call of each traced search, so that a
-rename or restructuring that blinds a traced benchmark run fails here.
+integrand calls of `metrics.quad` (the panel Gauss-Legendre rule, which
+calls its integrand once per level of panels, with every point of the
+level), and recognises a level scan by its size (64 samples per node).
+This installs it as bench/run.py does and runs one call of each traced
+search, so that a rename or restructuring that blinds a traced benchmark
+run fails here.
 """
 
 import sys

@@ -381,8 +381,7 @@ def test_cli_entrypoint_runs():
 
 
 def test_commands_without_quadrature_load_no_scipy(tmp_path):
-    # scipy.optimize and scipy.integrate cost most of a cold start; only
-    # mzratio's quadrature and the fold oracle of verify may load them
+    # scipy costs most of a cold start; only the fold oracle of verify may load it
     fit_in = tmp_path / "fit.csv"
     fit_in.write_text("n,R\n16,3.0\n32,3.9\n64,5.1\n128,6.6\n")
     code = (
@@ -390,9 +389,11 @@ def test_commands_without_quadrature_load_no_scipy(tmp_path):
         "import lshapearc, lshapearc.cli\n"
         "d = sys.argv[1]\n"
         "for argv in (['lebesgue', '--n', '16'], ['minmax', '--n', '16'], ['apweight', '--n', '16', '--p', '2'],\n"
-        "             ['nodes', '--n', '16'], ['fit', d + '/fit.csv', '--model', 'power']):\n"
+        "             ['nodes', '--n', '16'], ['fit', d + '/fit.csv', '--model', 'power'],\n"
+        "             ['mzratio', '--n', '16', '--p', '2']):\n"
         "    assert lshapearc.cli.main(argv + ['--out', d + '/' + argv[0] + '.out']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.integrate'))))\n"
+        "lshapearc.mz_ratio_worst(16, 4.0, [0, 3])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = {k: v for k, v in _ENV.items() if k != cli.CACHE_ENV_VAR}
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env)
@@ -400,3 +401,4 @@ def test_commands_without_quadrature_load_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
     assert json.loads((tmp_path / "fit.out").read_text())["model"] == "power_law"
     assert (tmp_path / "lebesgue.out").read_text().splitlines()[1].startswith("16,adjusted,")
+    assert (tmp_path / "mzratio.out").read_text().splitlines()[1].startswith("16,2,")

@@ -1,8 +1,10 @@
-"""50-digit mpmath oracle for the pair kernel behind every nodal quantity.
+"""mpmath oracles for the pair kernel behind every nodal quantity and for
+the MZ basis integral built on it.
 
 The float64 nodes are taken as exact inputs; the oracle evaluates the
-same sums of log|z - x_k| in 50-digit arithmetic, so any disagreement
-beyond 1e-12 relative is an error of the kernel, not of the nodes.
+same sums of log|z - x_k| in 50-digit arithmetic, and the basis integral
+in 25-digit arithmetic, so any disagreement beyond 1e-12 relative is an
+error of the kernel or the quadrature, not of the nodes.
 """
 
 import mpmath as mp
@@ -11,7 +13,7 @@ import pytest
 
 from lshapearc.conformal import LevelCurve, boundary_point, level_point
 from lshapearc.families import build_adjusted, build_raw, theta_grid
-from lshapearc.metrics import lower_bound_witness
+from lshapearc.metrics import lower_bound_witness, mz_ratio
 from lshapearc.nodal import (
     build_derivative_table,
     lebesgue_function,
@@ -89,3 +91,33 @@ def test_witness_against_mpmath(n):
         z0 = complex(boundary_point((th[0] + th[1]) / 2.0))
         assert _close(rec.value, _mp_lebesgue(z0, pts, dlogs))
         assert _close(rec.settings["partial_sum"], _mp_lebesgue(z0, pts, dlogs, upto=n // 6 + 1))
+
+
+def _mp_basis_integral(pts, k, p):
+    """Integral over both arms of |l_k(z)|^p |dz| in 25-digit arithmetic.
+
+    Each arm is the float segment 27^(1/4) * e^{+-3i*pi/4} * s, s in [0, 1],
+    taken as exact; tanh-sinh quadrature runs between breakpoints at every
+    node's arm position, where |l_k|^p has its |s - s_j|^p kinks.
+    """
+    radius = 27.0**0.25
+    nodes = [mp.mpc(x.real, x.imag) for x in pts]
+    others = [x for j, x in enumerate(nodes) if j != k]
+    scale = mp.fprod(abs(nodes[k] - x) for x in others)
+    breaks = sorted({0.0, 1.0} | {abs(x) / radius for x in pts if 0.0 < abs(x) / radius < 1.0})
+    total = 0
+    for sign in (1.0, -1.0):
+        d = complex(radius * np.exp(sign * 3j * np.pi / 4.0))
+        arm = mp.mpc(d.real, d.imag)
+        total += mp.quad(lambda s: (mp.fprod(abs(arm * s - x) for x in others) / scale) ** p, breaks)
+    return total * radius
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.5, 4.0])
+def test_mz_integral_against_mpmath(p):
+    # n = 8: node 2 is inside the upper arm, node 3 at its end
+    fam = build_adjusted(8)
+    with mp.workdps(25):
+        for k in (2, 3):
+            rec = mz_ratio(8, p, k=k, family=fam)
+            assert _close(rec.settings["integral"], _mp_basis_integral(fam.points, k, p))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,50 @@ def test_mz_ratio_worst_is_the_first_max_of_mz_ratio(n, p):
     worst = mz_ratio_worst(n, p, ks)
     assert (worst.value, worst.location) == (first.value, first.location)
     assert worst.settings == dict(first.settings, k_subset=ks)
+
+
+def test_quad_one_level_for_low_degrees():
+    # c_14 = c_15 = 0 up to rounding for degree <= 13: 16 points per interval; the 1e-16 gap is skipped
+    val, points = metrics.quad(lambda s: 1.0 + 3.0 * s**2 + s**13, np.array([-1.0, -1.0 + 1e-16, 0.5, 2.0]), 1e-8)
+    assert val == pytest.approx(3.0 + 9.0 + (2.0**14 - 1.0) / 14.0, rel=1e-14)
+    assert points == 32
+
+
+def test_quad_refines_toward_a_kink():
+    # |s|^1.5 has the kink that |P_{n,k}|^p has at a node for p = 1.5
+    val, points = metrics.quad(lambda s: np.abs(s) ** 1.5, np.array([-1.0, 0.0, 1.0]), 1e-8)
+    assert val == pytest.approx(0.8, rel=1e-13)
+    assert 32 < points < 2000
+
+
+def test_quad_stops_on_an_integrand_it_cannot_resolve():
+    rng = np.random.default_rng(0)
+    val, points = metrics.quad(lambda s: rng.random(len(s)), np.array([0.0, 0.5, 1.0]), 1e-20)
+    assert 0.4 < val < 0.6
+    assert points <= 16 * 2 * (1 + metrics._MAX_PANELS)
+
+
+def test_mz_ratio_any_tolerance_terminates():
+    ref = mz_ratio(16, 3.5, k=5)
+    start = time.perf_counter()
+    tight = mz_ratio(16, 3.5, k=5, quad_tol=1e-20)
+    assert time.perf_counter() - start < 1.0
+    assert tight.value == pytest.approx(ref.value, rel=1e-12)
+    assert ref.settings["quad_points"] <= tight.settings["quad_points"] < 4 * ref.settings["quad_points"]
+
+
+def test_mz_ratio_counts_its_points_and_evaluates_them_in_blocks(monkeypatch):
+    sizes = []
+    kernel = metrics._pair_logs
+
+    def counted(zs, pts, reduce):  # only the integrand reaches the kernel through metrics
+        sizes.append(len(zs))
+        return kernel(zs, pts, reduce)
+
+    monkeypatch.setattr(metrics, "_pair_logs", counted)
+    rec = mz_ratio(16, 3.5)
+    assert rec.settings["quad_points"] == sum(sizes)
+    assert len(sizes) < 10  # one kernel call per level of panels
 
 
 def test_family_of_another_degree_is_refused():
