@@ -10,12 +10,10 @@ and exit code 2.
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -50,6 +48,7 @@ def _fmt(v) -> str:
 
 def _cache_key(cfg: dict) -> str:
     """Hash of the cache schema, the command's algorithm version and every setting of cfg but its cache_dir."""
+    import hashlib  # on use: a run without a cache never needs it
     payload = {k: v for k, v in cfg.items() if k != "cache_dir"}
     version = SWEEPS[cfg["command"]].version
     blob = json.dumps({"schema_version": SCHEMA_VERSION, "algorithm_version": version, **payload}, sort_keys=True)
@@ -102,6 +101,7 @@ def _map_jobs(fn, tasks, jobs):
     """Order-preserving map; results identical at any parallelism degree."""
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # on use: it loads multiprocessing
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks))
 

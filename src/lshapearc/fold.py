@@ -108,12 +108,15 @@ def fold_oracle(t: float) -> float:
         # the stored float stands for exact pi, where the fold vanishes;
         # sin(float(pi)) is rounding noise, not signal
         return 0.0
-    target = min(_profile(ta), _PROFILE_PEAK)
-    # solve in cube-root scale: the profile is cubic-flat at j = 0, and
-    # the cube root restores full conditioning there
-    cb = np.cbrt(target)
-    j = brentq(lambda x: np.cbrt(_profile(x)) - cb, 0.0, CORNER_ANGLE, xtol=1e-14)
-    return sign * j
+
+    # the defining relation divided by its trivial factor 2 sin((j - t)/2):
+    # its root is simple at 2pi/3, where the profile is quadratically flat
+    def reduced(j):
+        return np.cos((j + ta) / 2.0) - np.cos(j + ta) * np.cos((j - ta) / 2.0)
+
+    if reduced(CORNER_ANGLE) >= 0.0:  # t at the corner, up to rounding
+        return sign * CORNER_ANGLE
+    return sign * brentq(reduced, 0.0, CORNER_ANGLE, xtol=1e-14)
 
 
 def fold_prime(t: float) -> float:

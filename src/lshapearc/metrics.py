@@ -28,6 +28,7 @@ from .conformal import (
 from .families import NodeFamily, build_adjusted, build_raw, theta_grid
 from .fold import fold_sister
 from .nodal import (
+    _derivative_logs,
     _pair_logs,
     build_derivative_table,
     lebesgue_function,
@@ -337,7 +338,7 @@ def mz_ratio(n: int, p: float, k: int = None, quad_tol: float = 1e-8, family: No
     if k is None:
         k = choose_ratio_index(n, fam)
     pts = fam.points
-    log_dk = build_derivative_table(fam).logs[k]
+    log_dk = _derivative_logs(pts, [k])[0]
 
     def basis_power(ld, rows):  # |P_{n,k}|^p at the rows' points
         return np.exp(p * (ld.sum(axis=1) - log_dk - ld[:, k]))

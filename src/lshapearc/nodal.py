@@ -93,17 +93,24 @@ class DerivativeTable:
     logs: np.ndarray
 
 
-def build_derivative_table(f: NodeFamily) -> DerivativeTable:
+def _derivative_logs(pts, nodes=slice(None)) -> np.ndarray:
+    """log|omega'(pts[k])| for k in arange(len(pts))[nodes]; a row alone has the bits it has in the whole table."""
+    ks = np.arange(len(pts))[nodes]
+
     def skip_diagonal(ld, rows):
-        r = np.arange(len(ld))
-        ld[r, rows.start + r] = 0.0  # skip the j == k factor
+        k = ks[rows]
+        ld[np.arange(len(ld)), k] = 0.0  # skip the j == k factor
         s = ld.sum(axis=1)
         if np.any(s == -np.inf):  # a row sum is -inf iff the row holds a zero distance
             i, j = np.argwhere(ld == -np.inf)[0]
-            raise ValueError(f"duplicate nodes at indices {rows.start + i} and {j}")
+            raise ValueError(f"duplicate nodes at indices {k[i]} and {j}")
         return s
 
-    return DerivativeTable(logs=_pair_logs(f.points, f.points, skip_diagonal))
+    return _pair_logs(pts[ks], pts, skip_diagonal)
+
+
+def build_derivative_table(f: NodeFamily) -> DerivativeTable:
+    return DerivativeTable(logs=_derivative_logs(f.points))
 
 
 def _lebesgue_sums(logs, upto=None):

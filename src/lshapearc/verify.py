@@ -45,7 +45,9 @@ def _check_magnitude_law():
 
 def _check_symmetry():
     rng = np.random.default_rng(7)
-    w = (1.01 + rng.random(200)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
+    r = np.concatenate([np.ones(101), rng.uniform(1.0, 3.0, 200)])  # the arc's preimage r = 1, and out to r = 3
+    t = np.concatenate([np.linspace(-np.pi, np.pi, 101), rng.uniform(-np.pi, np.pi, 200)])
+    w = r * np.exp(1j * t)
     err = np.max(np.abs(psi(np.conj(w)) - np.conj(psi(w))))
     return err < 1e-12, f"max symmetry error {err:.2e}"
 
@@ -69,11 +71,13 @@ def _check_fold_residual():
     t = np.linspace(CORNER_ANGLE, np.pi, 10_000)
     j = fold.fold_closed_form(t)
     err = np.max(np.abs(np.sin(j) * np.sin(j / 2.0) ** 2 - np.sin(t) * np.sin(t / 2.0) ** 2))
-    return err < 1e-12, f"max defining-relation residual {err:.2e}"
+    ok = err < 1e-12 and j.min() >= 0.0 and j.max() <= CORNER_ANGLE + 1e-12
+    return ok, f"max defining-relation residual {err:.2e}, J in [{j.min():.6f}, {j.max():.6f}]"
 
 
 def _check_fold_vs_oracle():
-    t = np.linspace(CORNER_ANGLE, np.pi, 1000)
+    ends = np.geomspace(1e-12, 1e-2, 100)  # toward both ends, where the defining relation is flat
+    t = np.concatenate([np.linspace(CORNER_ANGLE, np.pi, 1000), CORNER_ANGLE + ends, np.pi - ends])
     err = max(abs(fold.fold_closed_form(ti) - fold.fold_oracle(ti)) for ti in t)
     return err < 1e-10, f"max closed-form vs oracle gap {err:.2e}"
 
@@ -86,7 +90,7 @@ def _check_fold_monotone():
 
 
 def _check_fold_oddness():
-    t = np.linspace(CORNER_ANGLE + 1e-9, np.pi, 100)
+    t = np.linspace(CORNER_ANGLE, np.pi, 100)
     err = np.max(np.abs(fold.fold_closed_form(-t) + fold.fold_closed_form(t)))
     return err == 0.0, f"oddness error {err:.2e}"
 
@@ -141,12 +145,12 @@ def _check_move_bounds():
 
 def _check_locator():
     rng = np.random.default_rng(3)
-    for n in [16, 32, 33, 64, 100, 511, 512]:
+    for n in [16, 32, 33, 64, 100, 256, 511, 512]:
         th = theta_grid(n)
         m = n // 2
         inner = [i for i in range(m + 1) if th[i] <= CORNER_ANGLE + 1e-12]
         outer = [i for i in range(m + 1) if th[i] > CORNER_ANGLE + 1e-12]
-        for t in rng.uniform(0.0, CORNER_ANGLE, 100):
+        for t in np.concatenate([[0.0, CORNER_ANGLE], rng.uniform(0.0, CORNER_ANGLE, 100)]):
             k1, k2 = k1_k2_locate(n, t)
             b1 = min(inner, key=lambda i: (abs(th[i] - t), i))
             u = fold.unfold(t)

@@ -381,7 +381,8 @@ def test_cli_entrypoint_runs():
 
 
 def test_commands_without_quadrature_load_no_scipy(tmp_path):
-    # scipy costs most of a cold start; only the fold oracle of verify may load it
+    # scipy costs most of a cold start; only the fold oracle of verify may load it.
+    # multiprocessing and hashlib load only with --jobs above 1 and with a cache
     fit_in = tmp_path / "fit.csv"
     fit_in.write_text("n,R\n16,3.0\n32,3.9\n64,5.1\n128,6.6\n")
     code = (
@@ -393,7 +394,7 @@ def test_commands_without_quadrature_load_no_scipy(tmp_path):
         "             ['mzratio', '--n', '16', '--p', '2']):\n"
         "    assert lshapearc.cli.main(argv + ['--out', d + '/' + argv[0] + '.out']) == 0\n"
         "lshapearc.mz_ratio_worst(16, 4.0, [0, 3])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing', 'hashlib')))\n"
     )
     env = {k: v for k, v in _ENV.items() if k != cli.CACHE_ENV_VAR}
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from lshapearc.conformal import (
     CORNER_ANGLE,
@@ -46,24 +45,6 @@ def test_domain_errors():
 
 def test_derivative_zero_at_endpoint_preimage():
     assert abs(psi_prime(np.exp(2j * np.pi / 3.0))) < 1e-12
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.floats(min_value=0.0, max_value=np.pi))
-def test_magnitude_law(t):
-    lhs = abs(boundary_point(t)) ** 2
-    rhs = 8.0 * np.sin(t) * np.sin(t / 2.0) ** 2
-    assert abs(lhs - rhs) < 1e-12
-
-
-@settings(deadline=None, max_examples=100)
-@given(
-    st.floats(min_value=1.0, max_value=3.0),
-    st.floats(min_value=-np.pi, max_value=np.pi),
-)
-def test_conjugate_symmetry(r, t):
-    w = r * np.exp(1j * t)
-    assert abs(psi(np.conj(w)) - np.conj(psi(w))) < 1e-12
 
 
 def test_boundary_point_values():

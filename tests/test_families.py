@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lshapearc.conformal import CORNER_ANGLE, LevelCurve, psi
+from lshapearc.conformal import psi
 from lshapearc.families import (
     build_adjusted,
     build_level_nodes,
@@ -12,7 +12,6 @@ from lshapearc.families import (
     separation_margin,
     theta_grid,
 )
-from lshapearc.fold import unfold
 
 DELTA_32 = 2.0 * np.pi / 99.0
 
@@ -108,22 +107,6 @@ def test_folded_point_consistency():
     via_fold = psi(np.exp(1j * adj.folded))
     assert np.max(np.abs(direct - via_fold)) < 1e-10
     assert np.max(np.abs(direct - adj.points)) == 0.0
-
-
-@settings(deadline=None, max_examples=30)
-@given(
-    st.sampled_from([16, 32, 33, 64, 100, 256, 512]),
-    st.floats(min_value=0.0, max_value=CORNER_ANGLE),
-)
-def test_locator_matches_brute_force(n, t):
-    th = theta_grid(n)
-    m = n // 2
-    inner = [i for i in range(m + 1) if th[i] <= CORNER_ANGLE + 1e-12]
-    outer = [i for i in range(m + 1) if th[i] > CORNER_ANGLE + 1e-12]
-    k1, k2 = k1_k2_locate(n, t)
-    assert k1 == min(inner, key=lambda i: (abs(th[i] - t), i))
-    u = unfold(t)
-    assert k2 == min(outer, key=lambda i: (abs(th[i] - u), i))
 
 
 def test_locator_examples():

@@ -3,7 +3,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from lshapearc import nodal
 from lshapearc.conformal import boundary_point
@@ -15,26 +14,6 @@ from lshapearc.nodal import (
     lebesgue_function_grid,
     log_abs_omega,
 )
-
-@settings(deadline=None, max_examples=60)
-@given(
-    st.integers(min_value=1, max_value=24),
-    st.floats(min_value=-3.0, max_value=3.0),
-    st.floats(min_value=-3.0, max_value=3.0),
-)
-def test_log_product_matches_direct(n, x, y):
-    fam = build_raw(n)
-    z = complex(x, y)
-    direct = float(np.prod(np.abs(z - fam.points)))
-    if np.any(fam.points == z):
-        assert np.isneginf(log_abs_omega(fam, z))
-    elif direct > 1e-280:
-        assert abs(np.exp(log_abs_omega(fam, z)) - direct) <= 1e-10 * direct
-    else:
-        # the direct product has underflowed into (sub)normal territory
-        # where it is no longer a trustworthy oracle; the log-domain
-        # value must still be extremely negative
-        assert log_abs_omega(fam, z) < -600.0
 
 
 def test_neg_infinity_at_node():
@@ -75,6 +54,20 @@ def test_duplicate_nodes_rejected(monkeypatch):
         monkeypatch.setattr(nodal, "_CHUNK_CELLS", cells)
         with pytest.raises(ValueError, match=r"^duplicate nodes at indices 2 and 5$"):
             build_derivative_table(fam)
+
+
+def test_derivative_row_matches_table(monkeypatch):
+    # mz_ratio computes its one row alone; it must be the table's row, bit for bit
+    for cells in (7, 1 << 17):
+        monkeypatch.setattr(nodal, "_CHUNK_CELLS", cells)
+        for fam in (build_raw(1), build_raw(40), build_adjusted(64), build_adjusted(257)):
+            logs = build_derivative_table(fam).logs
+            for k in (0, fam.n // 3, fam.n // 2, fam.n):
+                assert nodal._derivative_logs(fam.points, [k])[0] == logs[k]
+    pts = build_raw(8).points.copy()
+    pts[5] = pts[2]
+    with pytest.raises(ValueError, match=r"^duplicate nodes at indices 5 and 2$"):
+        nodal._derivative_logs(pts, [5])
 
 
 def _kernel_outputs():
