@@ -101,7 +101,7 @@ def build_adjusted(n: int) -> NodeFamily:
     delta away from theta_j on its own side, and theta_j is moved so the
     pair's folded average is preserved.  Mirrored to negative angles.
     """
-    th = theta_grid(n).copy()
+    th = theta_grid(n)
     folded = _fold_angles(th)
     m = n // 2
     delta = 2.0 * np.pi / (3.0 * (n + 1))
@@ -110,7 +110,7 @@ def build_adjusted(n: int) -> NodeFamily:
     pairs = []
     if outer.size:
         jk = folded[outer]
-        j = _nearest_grid_index(n, jk, 0, k_corner)
+        j = _nearest_grid_index(th, jk, 0, k_corner)
         hit = np.abs(jk - th[j]) < delta
         ks, js, jk = outer[hit], j[hit], jk[hit]
         if len(set(js.tolist())) != len(js):
@@ -154,33 +154,33 @@ def _corner_index(th: np.ndarray, n: int) -> int:
     return int(np.searchsorted(th[: n // 2 + 1], CORNER_ANGLE + _CLASSIFY_TOL, side="right")) - 1
 
 
-def _nearest_grid_index(n: int, angle, lo: int, hi: int):
-    """Index of the nonnegative grid angle nearest `angle`, clamped to [lo, hi].
+def _nearest_grid_index(th: np.ndarray, angle, lo: int, hi: int):
+    """Index i in [lo, hi] of the grid angle th[i] nearest `angle`.
 
-    The grid is uniform, so this is a rounding; ties go to the smaller index.
+    A binary search of th[lo : hi + 1], which increases on the nonnegative
+    half of theta_grid; ties go to the smaller index.
     """
-    if n % 2 == 0:
-        x = (n + 1) * angle / (2.0 * np.pi)
-    else:
-        x = ((n + 1) * angle / np.pi - 1.0) / 2.0
-    return np.clip(np.ceil(x - 0.5).astype(int), lo, hi)
+    i = np.minimum(np.searchsorted(th[lo : hi + 1], angle), hi - lo) + lo
+    below = np.maximum(i - 1, lo)
+    return np.where(np.abs(angle - th[below]) <= np.abs(th[i] - angle), below, i)
 
 
 def k1_k2_locate(n: int, t: float):
     """Indices of the grid angles nearest t on both sheets.
 
     k1 indexes the nearest base angle inside [0, 2pi/3]; k2 the nearest
-    one in (2pi/3, pi], measured at the unfolded angle.  Closed-form
-    rounding with boundary clamps; ties go to the smaller index.
+    one in (2pi/3, pi], measured at the unfolded angle, each by a binary
+    search of the grid; ties go to the smaller index.
     """
     if not 0.0 <= t <= CORNER_ANGLE + _CLASSIFY_TOL:
         raise ValueError("t must lie in [0, 2pi/3]")
+    th = theta_grid(n)
     m = n // 2
-    k_corner = _corner_index(theta_grid(n), n)
+    k_corner = _corner_index(th, n)
     if k_corner == m:
         raise ValueError(f"no grid angle beyond the endpoint preimage at n={n}")
-    k1 = int(_nearest_grid_index(n, t, 0, k_corner))
-    k2 = int(_nearest_grid_index(n, unfold(min(t, CORNER_ANGLE)), k_corner + 1, m))
+    k1 = int(_nearest_grid_index(th, t, 0, k_corner))
+    k2 = int(_nearest_grid_index(th, unfold(min(t, CORNER_ANGLE)), k_corner + 1, m))
     return k1, k2
 
 

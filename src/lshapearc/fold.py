@@ -76,7 +76,7 @@ def fold_closed_form(t):
         j = out[safe]
         out[safe] = j - (_profile(j) - _profile(ta[safe])) / _profile_deriv(j)
 
-    near_pi = ((np.pi - ta) < 1e-6) & (ta < np.pi)
+    near_pi = ((np.pi - ta) < 1e-5) & (ta < np.pi)
     if np.any(near_pi):
         eps = np.pi - ta[near_pi]
         j = _CBRT4 * np.cbrt(eps) + eps / 3.0

@@ -148,14 +148,17 @@ def _check_locator():
     for n in [16, 32, 33, 64, 100, 256, 511, 512]:
         th = theta_grid(n)
         m = n // 2
-        inner = [i for i in range(m + 1) if th[i] <= CORNER_ANGLE + 1e-12]
-        outer = [i for i in range(m + 1) if th[i] > CORNER_ANGLE + 1e-12]
-        for t in np.concatenate([[0.0, CORNER_ANGLE], rng.uniform(0.0, CORNER_ANGLE, 100)]):
-            k1, k2 = k1_k2_locate(n, t)
-            b1 = min(inner, key=lambda i: (abs(th[i] - t), i))
-            u = fold.unfold(t)
-            b2 = min(outer, key=lambda i: (abs(th[i] - u), i))
-            if k1 != b1 or k2 != b2:
+        inner = np.array([i for i in range(m + 1) if th[i] <= CORNER_ANGLE + 1e-12])
+        outer = np.array([i for i in range(m + 1) if th[i] > CORNER_ANGLE + 1e-12])
+        grid = th[inner]
+        # every inner grid angle and midpoint; pi/5 ties theta_6 and theta_7 to the last bit at n = 64
+        ts = np.concatenate([[0.0, np.pi / 5.0, CORNER_ANGLE], grid, (grid[:-1] + grid[1:]) / 2.0,
+                             rng.uniform(0.0, CORNER_ANGLE, 100)])
+        for t, u in zip(ts, fold.unfold(ts)):
+            # argmin takes the first of equal distances, so ties go to the smaller index
+            b1 = inner[np.argmin(np.abs(th[inner] - t))]
+            b2 = outer[np.argmin(np.abs(th[outer] - u))]
+            if k1_k2_locate(n, t) != (b1, b2):
                 return False, f"locator mismatch at n={n}, t={t}"
     return True, "locator matches brute force"
 

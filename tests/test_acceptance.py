@@ -8,7 +8,6 @@ intermediate results are shared across criteria through module caches.
 import time
 
 import numpy as np
-import pytest
 
 import lshapearc as L
 from lshapearc.cli import main as cli_main

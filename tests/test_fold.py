@@ -14,35 +14,26 @@ from lshapearc.fold import (
 
 
 def test_fixed_points():
-    assert fold_closed_form(CORNER_ANGLE) == pytest.approx(CORNER_ANGLE, abs=1e-12)
+    # the corner is a point of test_oracle_against_mpmath; pi itself is not
     assert fold_closed_form(np.pi) == 0.0
-    assert fold_oracle(CORNER_ANGLE) == pytest.approx(CORNER_ANGLE, abs=1e-7)
-    assert fold_oracle(np.pi) == 0.0
 
 
 def test_oracle_against_mpmath():
     # 50-digit roots of the defining relation divided by its trivial factor
     # 2 sin((j - t)/2), at points spaced geometrically toward both ends of
-    # [2pi/3, pi]; the closed form only seeds the secant steps
+    # [2pi/3, pi], and densely where the closed form hands over to its
+    # near-pi branch; the closed form only seeds the secant steps
     ends = np.geomspace(1e-15, 0.5, 49)
-    ts = np.concatenate([[CORNER_ANGLE], CORNER_ANGLE + ends, np.pi - ends, [np.nextafter(np.pi, 0.0)]])
+    handover = np.pi - np.geomspace(1e-7, 1e-4, 100)
+    ts = np.concatenate([[CORNER_ANGLE], CORNER_ANGLE + ends, np.pi - ends, [np.nextafter(np.pi, 0.0)], handover])
     with mp.workdps(50):
         for t in ts:
             tm = mp.mpf(float(t))
             ref = mp.findroot(lambda j: mp.cos((j + tm) / 2) - mp.cos(j + tm) * mp.cos((j - tm) / 2),
                               mp.mpf(fold_closed_form(t)))
             assert abs(fold_oracle(t) - ref) < 1e-11, t
+            assert abs(fold_closed_form(t) - ref) < 1e-12, t
     assert fold_oracle(np.pi) == 0.0  # float pi stands for exact pi
-
-
-def test_printed_value():
-    assert abs(fold_closed_form(32.0 * np.pi / 33.0) - 0.760171) < 5e-6
-
-
-def test_near_pi_asymptote():
-    eps = 1e-3
-    approx = 4.0 ** (1.0 / 3.0) * eps ** (1.0 / 3.0) + eps / 3.0
-    assert abs(fold_closed_form(np.pi - eps) - approx) < 1e-4
 
 
 @settings(deadline=None, max_examples=150)

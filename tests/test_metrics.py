@@ -67,14 +67,8 @@ def test_lebesgue_constant_stays_on_upper_arm(monkeypatch):
             assert 0.0 <= rec.location <= CORNER_ANGLE
 
 
-def test_adjusted_n16():
-    # frozen regression value; the published figure for this entry is
-    # 4.838368, about 12.5% above what the documented adjustment yields
-    rec = lebesgue_constant(build_adjusted(16))
-    assert rec.value == pytest.approx(4.235814, rel=1e-4)
-
-
 def test_adjusted_n32_band():
+    # restates criterion 05's n = 32 row, which cannot carry it: the criterion fails on other rows
     # two published values exist for this entry (3.92 and 5.291439);
     # accept anything in the band covering both
     rec = lebesgue_constant(build_adjusted(32))
@@ -89,6 +83,7 @@ def test_adjusted_below_raw():
 
 
 def test_grid_independence_small():
+    # kept beside criterion 05's grid-doubling check, which cannot carry it: the criterion fails on other rows
     f = build_adjusted(64)
     a = lebesgue_constant(f, grid_per_gap=32).value
     b = lebesgue_constant(f, grid_per_gap=64).value
@@ -107,6 +102,7 @@ def test_level_max_grid_sample_wins_a_tie(n):
 
 
 def test_muckenhoupt_n16():
+    # restates criterion 07's (16, 2) cell, which cannot carry it: the criterion fails on the (64, 2) cell
     (rec,) = muckenhoupt_constant(16, [2.0])
     assert abs(rec.value - 1.59) / 1.59 < 0.15
     assert rec.value >= 1.0
