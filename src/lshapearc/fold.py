@@ -25,19 +25,28 @@ _CBRT4 = 4.0 ** (1.0 / 3.0)
 
 
 def _profile(t):
-    """sin(t) * sin^2(t/2), the quantity matched by fold sisters."""
-    # s * s, not s ** 2: a numpy float64 scalar squares through C pow, which
-    # can differ by one ulp from the array path, and unfold must give the
-    # same bits for a scalar and for the same value inside an array
-    s = np.sin(t / 2.0)
-    return np.sin(t) * (s * s)
+    """sin(t) * sin^2(t/2), the quantity matched by fold sisters (an array)."""
+    return np.sin(t) * np.sin(t / 2.0) ** 2
 
 
 def _profile_deriv(j):
     return (np.cos(j) - np.cos(2.0 * j)) / 2.0
 
 
-_PROFILE_PEAK = _profile(CORNER_ANGLE)  # maximum over [0, pi], attained at 2pi/3
+def _sister(x):
+    """The other angle in [0, pi] with the profile of x in [0, pi] (an array).
+
+    With u = sin^2(x/2) the squared profile is 4 u^3 (1 - u), so the
+    sister's u is the one positive root of the cubic left after the root
+    u is divided out; Cardano's formula, real for every u in [0, 1].
+    """
+    s2 = np.sin(x / 2.0) ** 2
+    c2 = 1.0 - s2
+    disc = np.sqrt(27.0 * (3.0 + 8.0 * s2 + 16.0 * s2 * s2))
+    r = np.cbrt(c2 * (2.0 + 5.0 * s2 + 20.0 * s2 * s2 + s2 * disc) / 2.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        js = (c2 * (1.0 + (1.0 + 2.0 * s2) / r) + r) / 3.0
+        return 2.0 * np.arcsin(np.sqrt(np.clip(js, 0.0, 1.0)))
 
 
 def _check_range(t, lo, hi, what):
@@ -61,13 +70,7 @@ def fold_closed_form(t):
     _check_range(ta, CORNER_ANGLE, np.pi, "|t|")
     ta = np.clip(ta, CORNER_ANGLE, np.pi)
 
-    s2 = np.sin(ta / 2.0) ** 2
-    c2 = 1.0 - s2
-    disc = np.sqrt(27.0 * (3.0 + 8.0 * s2 + 16.0 * s2 * s2))
-    r = np.cbrt(c2 * (2.0 + 5.0 * s2 + 20.0 * s2 * s2 + s2 * disc) / 2.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        js = (c2 * (1.0 + (1.0 + 2.0 * s2) / r) + r) / 3.0
-        out = 2.0 * np.arcsin(np.sqrt(np.clip(js, 0.0, 1.0)))
+    out = _sister(ta)
 
     # one Newton polish where the profile derivative is well away from
     # its zeros at 0 and 2pi/3; takes the algebraic branch to machine noise
@@ -138,22 +141,17 @@ def unfold(j):
     """The unique t with |t| in [2pi/3, pi] and fold(t) = j.
 
     Inverse of the fold on [0, 2pi/3]; negative j unfolds by oddness.
-    Scalar or array in, same kind out.  Bisection on the profile, which
-    strictly decreases on [2pi/3, pi]; 64 halvings reach machine resolution.
+    Scalar or array in, same kind out.  The closed-form sister angle of
+    |j| (the cubic of `fold_closed_form`), polished by one Newton step on
+    the profile away from the corner, where the profile is flat.
     """
     j = np.asarray(j, dtype=float)
     _check_range(np.abs(j), 0.0, CORNER_ANGLE, "|j|")
-    want = np.minimum(_profile(np.minimum(np.abs(j), CORNER_ANGLE)), _PROFILE_PEAK)
-    lo, hi = np.full(want.shape, CORNER_ANGLE), np.full(want.shape, np.pi)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        above = _profile(mid) > want
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    # the profile is flat at its peak, where bisection stops short of the
-    # corner; below the rounding noise of the profile at float pi the true
-    # preimage is within one ulp of pi (fold's float-pi-is-exact-pi rule)
-    t = np.where(want >= _PROFILE_PEAK, CORNER_ANGLE, np.where(want <= _profile(np.pi), np.pi, 0.5 * (lo + hi)))
+    ja = np.atleast_1d(np.minimum(np.abs(j), CORNER_ANGLE))
+    t = _sister(ja)
+    safe = t > CORNER_ANGLE + 1e-3
+    t[safe] -= (_profile(t[safe]) - _profile(ja[safe])) / _profile_deriv(t[safe])
+    t = np.where(ja >= CORNER_ANGLE, CORNER_ANGLE, t).reshape(j.shape)
     t = np.where(j < 0, -t, t)
     return float(t) if t.ndim == 0 else t
 
