@@ -92,9 +92,7 @@ def _parse_ns(args) -> list:
     if args.sweep:
         k0, k1 = args.sweep
         return [2**k for k in range(k0, k1 + 1)]
-    if args.list:
-        return sorted(args.list)
-    _refuse(f"lshapearc {args.command}", "one of --n, --sweep, --list is required")
+    return sorted(args.list)
 
 
 def _map_jobs(fn, tasks, jobs):
@@ -288,9 +286,10 @@ _TOLERANCE = _checked(float, lambda x: 0 < x < float("inf"), "a positive finite 
 def _add_common(sp, metric):
     """The options every sweep command shares; `metric` names its SWEEPS entry."""
     sp.set_defaults(func=cmd_sweep, metric=metric)
-    sp.add_argument("--n", type=_DEGREE, default=None, help="single degree")
-    sp.add_argument("--sweep", type=_SWEEP, help="powers-of-two range k0..k1 (degrees 2^k0..2^k1)")
-    sp.add_argument("--list", type=_DEGREES, help="comma-separated explicit degrees")
+    degrees = sp.add_mutually_exclusive_group(required=True)
+    degrees.add_argument("--n", type=_DEGREE, default=None, help="single degree")
+    degrees.add_argument("--sweep", type=_SWEEP, help="powers-of-two range k0..k1 (degrees 2^k0..2^k1)")
+    degrees.add_argument("--list", type=_DEGREES, help="comma-separated explicit degrees")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--cache-dir", default=None,
                     help=f"cache directory (default ${CACHE_ENV_VAR} if set)")

@@ -143,6 +143,8 @@ def _refused_in_one_line(capsys, argv):
         ["minmax", "--n", "0", "--rho", "n"],
         ["apweight", "--n", "4", "--window-max", "-5"],
         ["mzratio"],
+        ["sweep", "--n", "16", "--list", "32,64"],
+        ["minmax", "--sweep", "4..5", "--list", "7"],
         ["lebesgue", "--n", "16", "--refine-tol", "nan"],  # no such option: refused as unknown
         ["lebesgue", "--n", "16", "--refine-tol", "-1e-9"],
         ["mzratio", "--n", "16", "--quad-tol", "-1e-8"],

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -28,33 +30,41 @@ def _mp_sister(x, seed):
 
 
 def test_oracle_against_mpmath():
-    # t spaced geometrically toward both ends of [2pi/3, pi] and densely
-    # where the closed form hands over to its near-pi branch; j toward both
-    # ends of [0, 2pi/3] and at the unfold targets of adjusted families,
-    # which crowd toward the corner, where the profile is flat
+    # t spaced geometrically toward both ends of [2pi/3, pi], densely at
+    # pi - t in [1e-7, 1e-4], where cos^2(t/2) formed as 1 - sin^2(t/2)
+    # cancels, and at 1e-4..1e-2 above the corner, where a Newton step on
+    # the flat profile amplifies rounding (2.095479478555677 is a raw
+    # n = 6759 angle there); j toward both ends of [0, 2pi/3], at 1e-4..1e-2
+    # below the corner, and at the unfold targets of adjusted families,
+    # which crowd toward the corner
     ends = np.geomspace(1e-15, 0.5, 49)
-    handover = np.pi - np.geomspace(1e-7, 1e-4, 100)
-    ts = np.concatenate([[CORNER_ANGLE], CORNER_ANGLE + ends, np.pi - ends, [np.nextafter(np.pi, 0.0)], handover])
+    pi_side = np.pi - np.geomspace(1e-7, 1e-4, 100)
+    corner_side = np.geomspace(1e-4, 1e-2, 50)
+    ts = np.concatenate([[CORNER_ANGLE], CORNER_ANGLE + ends, np.pi - ends, [np.nextafter(np.pi, 0.0)], pi_side,
+                         CORNER_ANGLE + corner_side, [2.095479478555677]])
     for t in ts:
         ref = _mp_sister(t, fold_closed_form(t))
         assert abs(fold_oracle(t) - ref) < 1e-11, t
-        assert abs(fold_closed_form(t) - ref) < 1e-12, t
+        assert abs(fold_closed_form(t) - ref) < 1e-14, t
     assert fold_oracle(np.pi) == 0.0  # float pi stands for exact pi
-    fams = [build_adjusted(n) for n in (32, 1000, 3826)]
-    js = np.concatenate([[0.0, CORNER_ANGLE], ends, CORNER_ANGLE - ends] + [f.folded[[k for k, _ in f.adjusted_pairs]] for f in fams])
+    fams = [build_adjusted(n) for n in (32, 1000, 3826, 7804)]
+    js = np.concatenate([[0.0, CORNER_ANGLE], ends, CORNER_ANGLE - ends, CORNER_ANGLE - corner_side]
+                        + [f.folded[[k for k, _ in f.adjusted_pairs]] for f in fams])
     for j, t in zip(js, unfold(js)):
-        assert abs(t - _mp_sister(j, t)) < 1e-13, j
+        assert abs(t - _mp_sister(j, t)) < 1e-14, j
 
 
 def test_round_trip():
-    # geometric toward both ends of [2pi/3, pi], and densely at t - 2pi/3 in
-    # [1e-6, 2.3e-6], where a solver that matches profiles loses half its digits
-    d = np.concatenate([np.geomspace(1e-9, 0.5, 60), np.geomspace(1e-6, 2.3e-6, 100)])
+    # geometric toward both ends of [2pi/3, pi], densely at t - 2pi/3 in
+    # [1e-6, 2.3e-6], where a solver that matches profiles loses half its
+    # digits, and at [5e-4, 5e-3], where a Newton step on the flat profile
+    # amplifies rounding
+    d = np.concatenate([np.geomspace(1e-9, 0.5, 60), np.geomspace(1e-6, 2.3e-6, 100), np.geomspace(5e-4, 5e-3, 100)])
     t = np.concatenate([CORNER_ANGLE + d, np.pi - d[:60]])
     js = np.append(np.outer([1.0, -1.0, 0.5], fold_closed_form(t)), [0.0, CORNER_ANGLE])
     ts = unfold(js)
     assert np.all(ts == [unfold(float(x)) for x in js])
-    assert np.all(np.abs(ts[: 2 * t.size] - np.concatenate([t, -t])) < 1e-12)
+    assert np.all(np.abs(ts[: 2 * t.size] - np.concatenate([t, -t])) < 1e-14)
 
 
 def test_round_trip_near_corner():  # where the profile is quadratically flat
@@ -74,6 +84,11 @@ def test_unfold_values():
 def test_fold_prime_endpoints():
     assert fold_prime(CORNER_ANGLE) == -1.0
     assert fold_prime(np.pi) == -np.inf
+    # the range check's slack: t is clamped onto [2pi/3, pi], not evaluated outside it
+    assert fold_prime(CORNER_ANGLE - 5e-10) == -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fold_prime(np.pi + 5e-10) == -np.inf
 
 
 def test_fold_prime_bound_and_fd():
