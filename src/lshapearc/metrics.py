@@ -92,6 +92,128 @@ def _arc_samples(f: NodeFamily, grid_per_gap: int):
 
 
 REFINE_TOL = 1e-9  # Brent's tolerance on the angle of a polished Lebesgue maximum
+_POLISH_STARTS = 5  # grid samples polished, the best first
+
+_PRUNE_STRIDES = (16, 8, 4, 2, 1)  # chain points evaluated first, then in each open cell per level
+# relative margin on each bound and on U: covers the rounding of a Lebesgue sample
+# (the kernel's logs, ~n eps, and its point's own rounding, which Markov's inequality
+# amplifies by at most ~2n^2 eps near the arm's end: 3e-8 at n = 8192) and of theta
+_PRUNE_MARGIN = 1e-6
+_PRUNE_SLACK = 0.25  # widest n*delta/2 between neighbouring chain points; wider gaps get extra points
+
+
+def _pruned_chain(values, ranked, evaluate, bound, keep):
+    """values of a chain of samples, evaluated only where they may rank among its `keep` largest.
+
+    `values` holds the chain in order, NaN where not yet evaluated, and
+    `ranked` marks the points that compete; evaluate(idx) gives the
+    values at chain indices idx.  A cell lies between two evaluated
+    neighbours a < b, and bound(a, b, va, vb) gives, for each cell, a
+    bound on every value inside it.  A cell is open while it has an
+    unevaluated point and its bound reaches the keep-th largest ranked
+    value so far.  The last point and every _PRUNE_STRIDES[0]-th one are
+    evaluated first, then, for each further stride s, the next multiple
+    of s in each open cell; after the last stride every open cell is
+    evaluated whole until none is open, so each point left out is below
+    its final cell's bound, which is below the keep-th largest value.
+    The points left out are -inf in the result.
+    """
+    known = ~np.isnan(values)
+
+    def run(idx):
+        idx = idx[~known[idx]]
+        if len(idx):
+            values[idx] = evaluate(idx)
+            known[idx] = True
+
+    def open_cells():
+        k = np.flatnonzero(known)
+        a, b = k[:-1], k[1:]
+        r = values[ranked & known]
+        floor = np.partition(r, -keep)[-keep] if len(r) >= keep else -np.inf
+        shut = (b - a == 1) | (bound(a, b, values[a], values[b]) < floor)
+        return a[~shut], b[~shut]
+
+    run(np.unique(np.r_[0 : len(values) : _PRUNE_STRIDES[0], len(values) - 1]))
+    for s in _PRUNE_STRIDES[1:]:
+        a, b = open_cells()
+        nxt = (a // s + 1) * s
+        run(nxt[nxt < b])
+    while len((cells := open_cells())[0]):
+        run(np.concatenate([np.arange(a + 1, b) for a, b in zip(*cells)]))
+    values[~known] = -np.inf
+    return values
+
+
+def _arm_angle(t):
+    """theta in [0, pi] of boundary_point(t) for folded t in [0, 2pi/3]:
+    the upper-arm point 27^(1/4) e^{3pi i/4} (1 + cos theta)/2.
+
+    s = (1 + cos theta)/2 = |z|/27^(1/4) is sqrt(8 sin t sin^2(t/2)/sqrt(27)),
+    and 1 - s^2 is a sum in w = 2pi/3 - t with no cancelling terms, so
+    theta = 2 atan2(sqrt(1 - s), sqrt(s)) is good to a few ulps of pi,
+    also at both ends, where theta from |z| alone loses 1e-11.
+    """
+    w = CORNER_ANGLE - t
+    sh = np.sin(w / 2.0) ** 2
+    s = np.sqrt(8.0 * np.sin(t) * np.sin(t / 2.0) ** 2 / np.sqrt(27.0))
+    one_minus_s2 = (4.0 * sh + 2.0 * np.sin(w) ** 2) / 3.0 - 4.0 / np.sqrt(27.0) * np.sin(w) * sh
+    return 2.0 * np.arctan2(np.sqrt(one_minus_s2 / (1.0 + s)), np.sqrt(s))
+
+
+def _arm_chain(n, ts):
+    """Arm angles theta, folded angles t and a sample mask of the chain from
+    the corner t = 0 through the upper-arm samples ts (ascending) to the
+    endpoint t = 2pi/3.
+
+    Gaps wider than n delta/2 = _PRUNE_SLACK, next to the corner, where
+    theta is steep in t, get equispaced extra points in theta, whose t is NaN.
+    """
+    tt = np.concatenate([[0.0], ts, [CORNER_ANGLE]])
+    th = _arm_angle(tt)
+    parts = np.ceil(n * -np.diff(th) / (2.0 * _PRUNE_SLACK)).astype(int).clip(1)
+    gap = np.repeat(np.arange(len(parts)), parts)
+    j = np.arange(len(gap)) - np.repeat(np.cumsum(parts) - parts, parts)  # rank in its gap
+    theta = np.append(th[gap] - (th[gap] - th[gap + 1]) * j / parts[gap], th[-1])
+    sample = np.append(j == 0, True)
+    t = np.full(len(theta), np.nan)
+    t[sample] = tt
+    return theta, t, sample
+
+
+def _upper_arm_samples(f: NodeFamily, table, ts, corner):
+    """Lebesgue function at the upper-arm samples ts (folded, ascending) that
+    may rank among the _POLISH_STARTS largest, -inf at the others.
+
+    The chain (`_arm_chain`) starts at the corner, valued `corner`; its
+    extra points are evaluated but not ranked.  A cell's bound is
+    Bernstein's (va + vb)/2 + n U delta/2 (see `lebesgue_constant`).  The
+    cell holding the max gives U = max over cells of
+    ((va + vb)/2)/(1 - n delta/2); cells with n delta/2 >= 1/2 are
+    always refined and stay out of U, so once no cell is open every cell
+    is in U, and U bounds the max.
+    """
+    theta, t, sample = _arm_chain(f.n, ts)
+    ranked = sample.copy()
+    ranked[[0, -1]] = False
+
+    def evaluate(idx):  # the points are made per call: the chain holds 8 bytes per point, not 16
+        on = sample[idx]
+        zs = np.empty(len(idx), dtype=complex)
+        zs[on] = boundary_point(t[idx[on]])
+        zs[~on] = arm_point(1, np.cos(theta[idx[~on]] / 2.0) ** 2)
+        return lebesgue_function_grid(f, table, zs)
+
+    def bound(a, b, va, vb):
+        slack, avg = f.n * (theta[a] - theta[b]) / 2.0, (va + vb) / 2.0
+        narrow = slack < 0.5
+        u = (1.0 + _PRUNE_MARGIN) * np.max(avg[narrow] / (1.0 - slack[narrow]), initial=0.0)
+        return np.where(narrow, (avg + u * slack) * (1.0 + _PRUNE_MARGIN), np.inf)
+
+    values = np.full(len(theta), np.nan)
+    values[0] = corner
+    values = _pruned_chain(values, ranked, evaluate, bound, _POLISH_STARTS)
+    return values[sample][1:-1]
 
 
 def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64) -> MetricRecord:
@@ -104,6 +226,21 @@ def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64) -> MetricRecord:
     folded-angle gap of the whole arc, keeps the samples with t >= 0,
     then polishes the five best within two grid steps, inside the upper
     arm, to REFINE_TOL in the angle; the corner t = 0 is a candidate too.
+
+    Only the samples that can be among the five best are evaluated
+    (`_upper_arm_samples`).  On the arm z = 27^(1/4) e^{3pi i/4} s with
+    s = (1 + cos theta)/2, every sum of c_k l_k(z) with |c_k| = 1 is a
+    cosine polynomial of degree n in theta.  By Bernstein's inequality
+    the Lebesgue function is then (n U)-Lipschitz in theta for any U
+    above its max, so on a cell of width delta between samples valued va
+    and vb it stays below (va + vb)/2 + n U delta/2.  A cell is skipped
+    only while that bound, with a relative margin of _PRUNE_MARGIN for
+    rounding, is below the fifth-best sample, and every skipped cell is
+    certified again against the final U and fifth-best sample.  Each
+    evaluated sample has the bits it has in the full grid, so the result
+    is bitwise that of evaluating every sample.  settings["grid_samples"]
+    and settings["grid_evaluated"] count the samples and the evaluated
+    ones.
     """
     settings = {"grid_per_gap": grid_per_gap, "refine_tol": REFINE_TOL}
     if grid_per_gap < 8:
@@ -112,17 +249,17 @@ def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64) -> MetricRecord:
         raise ValueError("the upper-arm search needs a conjugate-symmetric node set")
     table = build_derivative_table(f)
 
-    ts, h = _arc_samples(f, grid_per_gap)
-    ts = ts[ts >= 0.0]
-    lam = lebesgue_function_grid(f, table, boundary_point(ts))
-
     def neg(t):
         return -lebesgue_function(f, table, complex(boundary_point(t)))
 
     # Brent never evaluates a bracket's ends, so the corner t = 0, where
     # the clamped brackets end, is a candidate of its own
     best_val, best_t = -neg(0.0), 0.0
-    for i in np.argsort(lam)[::-1][:5]:
+    ts, h = _arc_samples(f, grid_per_gap)
+    ts = ts[ts >= 0.0]
+    lam = _upper_arm_samples(f, table, ts, best_val)
+    settings.update(grid_samples=len(ts), grid_evaluated=int(np.count_nonzero(lam > -np.inf)))
+    for i in np.argsort(lam)[::-1][:_POLISH_STARTS]:
         lo, hi = max(ts[i] - 2 * h, 0.0), min(ts[i] + 2 * h, CORNER_ANGLE)
         v, t = _polish(neg, ts[i], -lam[i], lo, hi, REFINE_TOL)
         if -v > best_val:
@@ -337,6 +474,8 @@ def mz_ratio(n: int, p: float, k: int = None, quad_tol: float = 1e-8, family: No
     _check_degree(n, fam)
     if k is None:
         k = choose_ratio_index(n, fam)
+    elif not 0 <= k <= n:
+        raise ValueError(f"node index k = {k} is outside 0..{n}")
     pts = fam.points
     log_dk = _derivative_logs(pts, [k])[0]
 
@@ -374,7 +513,7 @@ def separation_ok(n: int, family: NodeFamily, k: int) -> bool:
     """
     _check_degree(n, family)
     gaps = np.abs(np.delete(family.folded, k) - family.folded[k])
-    return (n + 1) * gaps.min() >= 2.0 * np.pi / 3.0 - 1e-9
+    return (n + 1) * gaps.min(initial=np.inf) >= 2.0 * np.pi / 3.0 - 1e-9  # a lone node has no neighbour
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""mpmath oracles for the pair kernel behind every nodal quantity and for
-the MZ basis integral built on it.
+"""mpmath oracles for the pair kernel behind every nodal quantity, for
+the MZ basis integral built on it, and for the premise of the pruned
+Lebesgue search.
 
 The float64 nodes are taken as exact inputs; the oracle evaluates the
 same sums of log|z - x_k| in 50-digit arithmetic, and the basis integral
@@ -11,9 +12,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lshapearc.conformal import LevelCurve, boundary_point, level_point
+from lshapearc.conformal import CORNER_ANGLE, LevelCurve, arm_point, boundary_point, level_point
 from lshapearc.families import build_adjusted, build_raw, theta_grid
-from lshapearc.metrics import lower_bound_witness, mz_ratio
+from lshapearc.metrics import _arm_angle, lower_bound_witness, mz_ratio
 from lshapearc.nodal import (
     build_derivative_table,
     lebesgue_function,
@@ -121,3 +122,37 @@ def test_mz_integral_against_mpmath(p):
         for k in (2, 3):
             rec = mz_ratio(8, p, k=k, family=fam)
             assert _close(rec.settings["integral"], _mp_basis_integral(fam.points, k, p))
+
+
+@pytest.mark.parametrize("kind", ["raw", "adjusted"])
+def test_lebesgue_function_is_bernstein_lipschitz_in_theta(kind):
+    # the premise of the pruned Lebesgue search: on the upper arm
+    # z = 27^(1/4) e^{3pi i/4} (1 + cos theta)/2 the Lebesgue function is
+    # (n max)-Lipschitz in theta; the grid max is at most the true max
+    theta = np.linspace(0.0, np.pi, 20001)
+    zs = arm_point(1, np.cos(theta / 2.0) ** 2)
+    i, j = np.random.default_rng(5).integers(0, len(theta), (2, 20000))
+    for n in range(33):
+        f = _family(kind, n)
+        lam = lebesgue_function_grid(f, build_derivative_table(f), zs)
+        lip, slop = n * lam.max(), REL * lam.max()
+        assert np.all(np.abs(np.diff(lam)) <= lip * np.diff(theta) + slop), n
+        assert np.all(np.abs(lam[i] - lam[j]) <= lip * np.abs(theta[i] - theta[j]) + slop), n
+
+    # the float64 Lebesgue function on the arm, against 50-digit sums at n = 32
+    theta = np.array([0.0, 1e-9, 1e-4, 0.05, 0.4, 1.0, 1.5, 2.2, 2.9, 3.1, np.pi - 1e-6, np.pi])
+    f = _family(kind, 32)
+    zs = arm_point(1, np.cos(theta / 2.0) ** 2)
+    lam = lebesgue_function_grid(f, build_derivative_table(f), zs)
+    with mp.workdps(50):
+        dlogs = _mp_derivative_logs(f.points)
+        assert all(_close(v, _mp_lebesgue(z, f.points, dlogs)) for v, z in zip(lam, zs))
+
+
+def test_arm_angle_against_mpmath():
+    # theta of boundary_point(t), from 50-digit s = |z|/27^(1/4), to a few ulps of pi at both ends
+    ts = np.concatenate([[0.0, 1e-12, 1e-6], np.linspace(0.01, 2.09, 50), CORNER_ANGLE - np.array([1e-6, 1e-12, 0.0])])
+    with mp.workdps(50):
+        for t, th in zip(ts, _arm_angle(ts)):
+            s = mp.sqrt(8 * mp.sin(t) * mp.sin(mp.mpf(t) / 2) ** 2 / mp.sqrt(27))
+            assert abs(th - mp.acos(2 * s - 1)) <= 1e-15, t

@@ -67,6 +67,60 @@ def test_lebesgue_constant_stays_on_upper_arm(monkeypatch):
             assert 0.0 <= rec.location <= CORNER_ANGLE
 
 
+def _dense_lebesgue_constant(f, grid_per_gap):
+    """(value, location) of the search before its grid was pruned: every
+    upper-arm sample, the five best by np.argsort, and the same polish."""
+    table = build_derivative_table(f)
+    ts, h = metrics._arc_samples(f, grid_per_gap)
+    ts = ts[ts >= 0.0]
+    lam = lebesgue_function_grid(f, table, boundary_point(ts))
+
+    def neg(t):
+        return -lebesgue_function(f, table, complex(boundary_point(t)))
+
+    best = (-neg(0.0), 0.0)
+    for i in np.argsort(lam)[::-1][:5]:
+        lo, hi = max(ts[i] - 2 * h, 0.0), min(ts[i] + 2 * h, CORNER_ANGLE)
+        v, t = metrics._polish(neg, ts[i], -lam[i], lo, hi, metrics.REFINE_TOL)
+        if -v > best[0]:
+            best = (-v, t)
+    return best
+
+
+@pytest.mark.parametrize("grid_per_gap", [8, 64, 128])
+def test_pruned_lebesgue_search_makes_the_dense_searchs_polish_calls(monkeypatch, grid_per_gap):
+    # the polish is a function of its arguments alone, so both searches record
+    # them in place of running Brent: the same calls give the same result
+    calls, chains, prune = [], [], metrics._pruned_chain
+    monkeypatch.setattr(metrics, "_polish", lambda g, t, v, lo, hi, xatol: calls.append((t, v, lo, hi, xatol)) or (v, t))
+    monkeypatch.setattr(metrics, "_pruned_chain", lambda *args: chains.append(args) or prune(*args))
+    for build in (build_raw, build_adjusted):
+        for n in range(97):
+            f = build(n)
+            calls.clear()
+            rec = lebesgue_constant(f, grid_per_gap)
+            pruned = list(calls)
+            calls.clear()
+            assert (rec.value, rec.location) == _dense_lebesgue_constant(f, grid_per_gap), (build.__name__, n)
+            assert pruned == calls, (build.__name__, n)
+
+            # and every point the search skipped lies below the bound of its final cell
+            values, _, evaluate, bound, _ = chains.pop()
+            known = np.flatnonzero(values > -np.inf)
+            skipped = np.flatnonzero(values == -np.inf)
+            if len(skipped):
+                a, b = known[:-1], known[1:]
+                cell = np.searchsorted(known, skipped) - 1
+                assert np.all(evaluate(skipped) <= bound(a, b, values[a], values[b])[cell]), (build.__name__, n)
+
+
+def test_pruned_lebesgue_search_at_1024_skips_half_the_grid():
+    f = build_adjusted(1024)
+    rec = lebesgue_constant(f)
+    assert (rec.value, rec.location) == _dense_lebesgue_constant(f, 64)
+    assert rec.settings["grid_evaluated"] <= rec.settings["grid_samples"] / 2
+
+
 def test_adjusted_n32_band():
     # restates criterion 05's n = 32 row, which cannot carry it: the criterion fails on other rows
     # two published values exist for this entry (3.92 and 5.291439);
@@ -262,6 +316,18 @@ def test_mz_ratio_counts_its_points_and_evaluates_them_in_blocks(monkeypatch):
     rec = mz_ratio(16, 3.5)
     assert rec.settings["quad_points"] == sum(sizes)
     assert len(sizes) < 10  # one kernel call per level of panels
+
+
+def test_mz_ratio_refuses_a_node_index_out_of_range():
+    for k in (17, -1):
+        with pytest.raises(ValueError, match=r"outside 0\.\.16"):
+            mz_ratio(16, 2.0, k=k)
+    with pytest.raises(ValueError, match=r"outside 0\.\.16"):
+        mz_ratio_worst(16, 2.0, [3, -1])
+
+
+def test_lone_node_is_separated():
+    assert separation_ok(0, build_adjusted(0), 0)
 
 
 def test_family_of_another_degree_is_refused():
