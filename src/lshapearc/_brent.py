@@ -8,7 +8,7 @@ code's numpy scalar operations, so for the same function, bounds and
 xatol it evaluates the same points in the same order and returns the
 same x, fun and nfev, bit for bit; tests/test_brent.py checks that
 against scipy.  The port keeps scipy.optimize off the import path of
-the Lebesgue, level-curve, distance and power-fit computations.
+the Lebesgue, level-curve and power-fit computations.
 """
 
 from collections import namedtuple

@@ -5,15 +5,15 @@ a right angle at the origin; `arm_point` parametrises them.  The map psi
 sends the exterior of the unit disk onto the complement of Gamma, fixing
 infinity, with psi(w)/w -> 1 as |w| -> oo.
 
-`dist_to_level` minimises with `_brent.minimize_bounded`, the
-in-package port of scipy's bounded Brent, so this module loads no scipy.
+`dist_to_level` searches every seed window of every node at once: a
+coarse sample of each window, then safeguarded Newton steps on the
+squared distance with the analytic derivatives of psi.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._brent import minimize_bounded
 
 # endpoint magnitude of the arc: |psi(e^{i*2pi/3})| = 27^(1/4)
 ENDPOINT_RADIUS = 27.0 ** 0.25
@@ -120,23 +120,73 @@ def level_point(curve: LevelCurve, t):
     return psi(curve.rho * np.exp(1j * t))
 
 
-def dist_to_level(z: complex, curve: LevelCurve, seed_angles) -> float:
+_WINDOW = 0.75  # half-width of the search window around each seed angle
+_XTOL = 1e-12  # a window's search ends once its Newton step or its bracket is this short
+
+
+@functools.cache
+def _coarse_offsets():
+    """The coarse sample of a window, as sorted offsets from its seed; built on first use.
+
+    33 even steps across the window (among them 2^0..2^-4 of its
+    half-width), and steps halving on down to 2^-30 of it on both sides,
+    for the narrow basins next to the endpoint and corner preimages.  The
+    seed itself is one of them.
+    """
+    halvings = _WINDOW * 2.0 ** -np.arange(5.0, 31.0)
+    return np.sort(np.concatenate([_WINDOW * np.linspace(-1.0, 1.0, 33), halvings, -halvings]))
+
+
+def dist_to_level(z, curve: LevelCurve, seed_angles):
     """Euclidean distance from z to the level curve.
 
     Minimizes |z - level_point(t)| within 0.75 of each seed angle
     (typically a node's own angle and its fold sister's), then takes the
     smallest.  The nearest point can sit on either sheet near the corner,
-    which is why both seeds matter.
+    which is why both seeds matter.  A scalar z takes a list of seeds and
+    gives a float; an array of nodes takes one row of seeds per node and
+    gives an array.
+
+    Every window is searched at once.  In its coarse sample
+    (`_coarse_offsets`), each sample no larger than its neighbours opens
+    a bracket between them, so a window's every sampled basin is
+    searched.  Safeguarded Newton steps on h(t) = |z - psi(rho e^{it})|^2
+    shrink each bracket by the sign of h', taking the midpoint wherever
+    the step would leave the bracket, point uphill or not halve the last
+    one, until every bracket's step or width is within _XTOL.  The result
+    is the smallest distance evaluated, so it is never above the one at a
+    seed.
     """
-    seeds = np.atleast_1d(np.asarray(seed_angles, dtype=float))
-    if seeds.size == 0:
-        raise ValueError("seed_angles must be nonempty")
-
-    def g(t):
-        return abs(z - level_point(curve, t))
-
-    best = np.inf
-    for s in seeds:
-        res = minimize_bounded(g, (s - 0.75, s + 0.75), xatol=1e-12)
-        best = min(best, float(res.fun), g(s))
-    return best
+    z = np.asarray(z, dtype=complex)
+    seeds = np.asarray(seed_angles, dtype=float)
+    if z.ndim == 0:
+        seeds = np.atleast_1d(seeds)
+    if seeds.shape[:-1] != z.shape or seeds.shape[-1] == 0:
+        raise ValueError("seed_angles must hold a nonempty row of seeds for each point")
+    zs, offsets = z.reshape(-1), _coarse_offsets()
+    ts = seeds.reshape(len(zs), -1, 1) + offsets  # (point, seed, offset)
+    g = np.abs(zs[:, None, None] - level_point(curve, ts))
+    gp = np.pad(g, ((0, 0), (0, 0), (1, 1)), constant_values=np.inf)
+    node, seed, i = np.nonzero((g <= gp[..., :-2]) & (g <= gp[..., 2:]))
+    best, x = g[node, seed, i], ts[node, seed, i]
+    a, b = ts[node, seed, np.maximum(i - 1, 0)], ts[node, seed, np.minimum(i + 1, len(offsets) - 1)]
+    step, live = b - a, np.arange(len(x))
+    while len(live):
+        w = curve.rho * np.exp(1j * x)
+        e = psi(w) - zs[node[live]]
+        best[live] = np.minimum(best[live], np.abs(e))
+        dp = psi_prime(w)
+        d2 = dp * (1.0 / (w * w - 1.0) - (w + 2.0) / (w * (w * w + w + 1.0)))  # psi''
+        u = 1j * w * dp  # d psi(rho e^{it}) / dt; its t-derivative is -w (w psi'' + psi')
+        h1 = (e.conj() * u).real  # h'/2
+        h2 = (u * u.conj()).real - (e.conj() * w * (w * d2 + dp)).real  # h''/2
+        up = h1 > 0.0
+        a, b = np.where(up, a, x), np.where(up, x, b)
+        newton = x - h1 / h2
+        ok = (h2 > 0.0) & (newton > a) & (newton < b) & (np.abs(newton - x) <= np.abs(step) / 2.0)
+        nxt = np.where(ok, newton, (a + b) / 2.0)
+        open_ = ~((h2 > 0.0) & (np.abs(newton - x) <= _XTOL)) & (b - a > _XTOL)
+        live, step, x, a, b = live[open_], (nxt - x)[open_], nxt[open_], a[open_], b[open_]
+    # every point has a bracket (its smallest sample), and the brackets come in point order
+    out = np.minimum.reduceat(best, np.searchsorted(node, np.arange(len(zs)))).reshape(z.shape)
+    return float(out) if out.ndim == 0 else out

@@ -420,27 +420,46 @@ def quad(func, breaks, rtol):
     """(integral, points) of func over [breaks[0], breaks[-1]] by 16-point
     Gauss-Legendre panels between the breaks, halved where needed.
 
-    Each level calls func once, on the points of every open panel.  A
-    panel's error estimate is its length times |c_14| + |c_15| of its own
-    samples; it is accepted once that is at most max(rtol, 64 ulp) times
-    its integral or its length's share of _ABS_TOL, or once halving has
-    added _MAX_PANELS per break interval.  Gaps under 1e-15 are skipped.
+    func gives one value per point, or a row of K values per point (an
+    integrand with K columns); then integral and points are arrays of K.
+    Each column keeps its own panels and gets the integral and point
+    count that a quad of that column alone gives, bit for bit.  Each level
+    calls func once, on the points of every panel open in some column,
+    each panel once.  A panel's error estimate is its length times
+    |c_14| + |c_15| of its own samples; it is accepted once that is at
+    most max(rtol, 64 ulp) times its integral or its length's share of
+    _ABS_TOL, or once its column's halving has added _MAX_PANELS per
+    break interval.  Gaps under 1e-15 are skipped.
     """
     x, w, tail = _gauss_legendre()
     keep = np.diff(breaks) >= 1e-15
     lo, half = breaks[:-1][keep], np.diff(breaks)[keep] / 2.0
     rtol, atol = max(rtol, 64 * np.finfo(float).eps), 2.0 * _ABS_TOL / (breaks[-1] - breaks[0])
-    budget, total, points = _MAX_PANELS * len(lo), 0.0, 0
+    cols = rows = None  # per column: its open panels' (lo, half), and their rows among the level's panels
+    scalar, total, points = True, [0.0], [0]
     while len(lo):
-        f = func(((lo + half)[:, None] + half[:, None] * x).ravel()).reshape(len(lo), -1)
-        points += f.size
-        val = half * (f @ w)
-        done = 2.0 * half * np.abs(f @ tail).sum(axis=1) <= np.maximum(rtol * val, atol * half)
-        budget -= 2 * np.count_nonzero(~done)
-        done |= budget < 0
-        total += val[done].sum()
-        lo, half = np.concatenate([lo[~done], lo[~done] + half[~done]]), np.tile(half[~done] / 2.0, 2)
-    return total, points
+        f = func(((lo + half)[:, None] + half[:, None] * x).ravel())
+        scalar = f.ndim == 1
+        f = f.reshape(len(lo), len(x), -1).transpose(2, 0, 1)  # (column, panel, point)
+        if cols is None:  # every column starts on the same panels
+            cols, rows = [(lo, half)] * len(f), [np.arange(len(lo))] * len(f)
+            budget, total, points = [_MAX_PANELS * len(lo)] * len(f), [0.0] * len(f), [0] * len(f)
+        for c, ((clo, chalf), r) in enumerate(zip(cols, rows)):
+            fc = f[c][r]
+            points[c] += fc.size
+            val = chalf * (fc @ w)
+            done = 2.0 * chalf * np.abs(fc @ tail).sum(axis=1) <= np.maximum(rtol * val, atol * chalf)
+            budget[c] -= 2 * np.count_nonzero(~done)
+            done |= budget[c] < 0
+            total[c] += val[done].sum()
+            cols[c] = np.concatenate([clo[~done], clo[~done] + chalf[~done]]), np.tile(chalf[~done] / 2.0, 2)
+        # the next level's panels: every column's open (lo, half) once, keyed by the complex lo + i half (exact)
+        key, inverse = np.unique(np.concatenate([clo + 1j * chalf for clo, chalf in cols]), return_inverse=True)
+        lo, half = key.real, key.imag
+        rows = np.split(inverse, np.cumsum([len(clo) for clo, _ in cols])[:-1])
+    if scalar:
+        return total[0], points[0]
+    return np.array(total), np.array(points)
 
 
 def _check_degree(n: int, family: NodeFamily):
@@ -458,7 +477,51 @@ def choose_ratio_index(n: int, family: NodeFamily) -> int:
     return int(np.argmin(np.abs(family.points - zmin)))
 
 
-def mz_ratio(n: int, p: float, k: int = None, quad_tol: float = 1e-8, family: NodeFamily = None) -> MetricRecord:
+def _basis_powers(fam: NodeFamily, p: float, ks):
+    """The integrand of the MZ integrals of the basis elements ks of fam, and its breaks.
+
+    The integrand takes s in [-1, 0] to the lower arm and s in [0, 1] to the
+    upper one, each at fraction |s| of its length, and gives |P_{n,k}|^p
+    there for every k in ks: one column per k, from one derivative row set
+    and one call of the pair kernel.  The breaks are the node positions.
+    """
+    pts = fam.points
+    ks = np.asarray(ks)
+    log_dk = _derivative_logs(pts, ks)
+
+    def reduce(ld, rows):
+        return np.exp(p * (ld.sum(axis=1)[:, None] - log_dk - ld[:, ks]))
+
+    breaks = np.unique(np.concatenate([[-1.0, 0.0, 1.0], np.sign(fam.folded) * np.abs(pts) / ENDPOINT_RADIUS]))
+    return (lambda s: _pair_logs(arm_point(np.sign(s), np.abs(s)), pts, reduce)), breaks
+
+
+_QUAD_TOL = 1e-8  # default relative error target per panel of the MZ integrals
+
+
+def _mz_ratios(n: int, p: float, ks, quad_tol: float, fam: NodeFamily) -> list:
+    """The mz_ratio records of fam at the node indices ks, in order.
+
+    One `quad` of an integrand with a column per index, and one
+    `dist_to_level` for all the nodes; an index may repeat.
+    """
+    if not 1 < p < np.inf:
+        raise ValueError("p must be finite and exceed 1")
+    for k in ks:
+        if not 0 <= k <= n:
+            raise ValueError(f"node index k = {k} is outside 0..{n}")
+    func, breaks = _basis_powers(fam, p, ks)
+    totals, points = quad(func, breaks, quad_tol)
+    totals *= ENDPOINT_RADIUS  # |dz| = 27^(1/4) ds on each segment
+    curve, ts = LevelCurve(n), fam.angles[ks]
+    dists = dist_to_level(fam.points[ks], curve, [[t, fold_sister(t)] for t in ts.tolist()])
+    return [MetricRecord("mz_ratio", n, fam.kind, float(total / d), p=p, location=k,
+                         settings={"integral": float(total), "dist": float(d), "quad_tol": quad_tol,
+                                   "quad_points": int(count), "rho_convention": curve.convention})
+            for k, total, count, d in zip(ks, totals, points, dists)]
+
+
+def mz_ratio(n: int, p: float, k: int = None, quad_tol: float = _QUAD_TOL, family: NodeFamily = None) -> MetricRecord:
     """Arc integral of |P_{n,k}|^p divided by the node's level-curve distance.
 
     P_{n,k} is the canonical Lagrange basis element of `family`, by
@@ -466,41 +529,28 @@ def mz_ratio(n: int, p: float, k: int = None, quad_tol: float = 1e-8, family: No
     arm segments with `quad`, on panels between the node positions, each
     level of panels in one call of the pair kernel; quad_tol is the
     relative error target per panel and settings["quad_points"] counts
-    the points evaluated.
+    the points evaluated.  This is `mz_ratio_worst`'s path for one index.
     """
-    if not 1 < p < np.inf:
-        raise ValueError("p must be finite and exceed 1")
     fam = family if family is not None else build_adjusted(n)
     _check_degree(n, fam)
     if k is None:
         k = choose_ratio_index(n, fam)
-    elif not 0 <= k <= n:
-        raise ValueError(f"node index k = {k} is outside 0..{n}")
-    pts = fam.points
-    log_dk = _derivative_logs(pts, [k])[0]
-
-    def basis_power(ld, rows):  # |P_{n,k}|^p at the rows' points
-        return np.exp(p * (ld.sum(axis=1) - log_dk - ld[:, k]))
-
-    # s in [-1, 0] is the lower arm and s in [0, 1] the upper one, each at fraction |s| of its length
-    breaks = np.unique(np.concatenate([[-1.0, 0.0, 1.0], np.sign(fam.folded) * np.abs(pts) / ENDPOINT_RADIUS]))
-    total, points = quad(lambda s: _pair_logs(arm_point(np.sign(s), np.abs(s)), pts, basis_power), breaks, quad_tol)
-    total *= ENDPOINT_RADIUS  # |dz| = 27^(1/4) ds on each segment
-
-    curve, t = LevelCurve(n), float(fam.angles[k])
-    d = dist_to_level(complex(pts[k]), curve, [t, fold_sister(t)])
-    settings = {"integral": total, "dist": d, "quad_tol": quad_tol, "quad_points": points,
-                "rho_convention": curve.convention}
-    return MetricRecord("mz_ratio", n, fam.kind, total / d, p=p, location=k, settings=settings)
+    return _mz_ratios(n, p, [k], quad_tol, fam)[0]
 
 
 def mz_ratio_worst(n: int, p: float, k_subset) -> MetricRecord:
-    """Max of mz_ratio over a subset of node indices; the first of equal maxima."""
+    """Max of mz_ratio over a subset of node indices; the first of equal maxima.
+
+    One pass for the whole subset: one derivative row set, one `quad`
+    whose integrand has a column per index and whose levels each make one
+    kernel call for all of them, and one distance search.  Each index gets
+    the record mz_ratio gives it alone.
+    """
     k_subset = list(k_subset)
     if not k_subset:
         raise ValueError("k_subset must be nonempty")
     fam = build_adjusted(n)
-    best = max((mz_ratio(n, p, k=k, family=fam) for k in k_subset), key=lambda rec: rec.value)
+    best = max(_mz_ratios(n, p, k_subset, _QUAD_TOL, fam), key=lambda rec: rec.value)
     return MetricRecord("mz_ratio_worst", n, fam.kind, best.value, p=p, location=best.location,
                         settings=dict(best.settings, k_subset=k_subset))
 

@@ -8,17 +8,18 @@ even when the product itself under- or overflows.
 Every quantity here comes from one pair kernel, `_pair_logs`, which
 cuts the (evaluation point, node) matrix into blocks of whole rows of
 at most _CHUNK_CELLS cells, small enough to stay in cache, and reduces
-each block to one value per row before it is released.  A call with
-more than one block spreads its blocks over a thread pool with one
-thread per CPU the process may run on (numpy releases the interpreter
-lock inside its ufuncs); a call with one block, such as a scalar
-refinement step, runs inline.  Each row is reduced whole, by the same
-operations in the same order, inside one block, so every result is
-bitwise independent of the block size, the thread count and the order
-in which the threads run.
+each block to one value per row, or one row of values, before it is
+released.  A call with more than one block spreads its blocks over a
+thread pool with one thread per CPU the process may run on (numpy
+releases the interpreter lock inside its ufuncs); a call with one
+block, such as a scalar refinement step, runs inline.  Each row is
+reduced whole, by the same operations in the same order, inside one
+block, so every result is bitwise independent of the block size, the
+thread count and the order in which the threads run.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -49,20 +50,27 @@ def _pair_logs(zs, pts, reduce) -> np.ndarray:
     """reduce(ld, rows) over row blocks ld[i, k] = log|zs[rows][i] - pts[k]|.
 
     The one pair kernel under every nodal quantity.  Each block is built,
-    reduced to one value per row (reduce may overwrite ld) and released
-    inside one task, so each thread holds at most one block of
-    _CHUNK_CELLS cells.  A failure raises from the first failing block in
-    row order.
+    reduced to one value per row or to a row of K values (reduce may
+    overwrite ld) and released inside one task, so each thread holds at
+    most one block of _CHUNK_CELLS cells.  The result has one entry, or
+    one row of K, per point of zs.  A failure raises from the first
+    failing block in row order.
     """
-    out = np.empty(len(zs))
     chunk = max(1, _CHUNK_CELLS // max(1, len(pts)))
+    out = None
+    sized = threading.Lock()
 
     def block(i0):
+        nonlocal out
         rows = slice(i0, i0 + chunk)
         # errstate is context-local: each worker thread enters its own
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             d = np.abs(zs[rows, None] - pts[None, :])
-            out[rows] = reduce(np.log(d, out=d), rows)
+            r = reduce(np.log(d, out=d), rows)
+        with sized:  # the first block done fixes the shape: one value, or a row of K, per point
+            if out is None:
+                out = np.empty((len(zs),) + r.shape[1:])
+        out[rows] = r
 
     starts = range(0, len(zs), chunk)
     if len(starts) > 1:
@@ -71,7 +79,7 @@ def _pair_logs(zs, pts, reduce) -> np.ndarray:
     else:
         for i0 in starts:
             block(i0)
-    return out
+    return np.empty(0) if out is None else out
 
 
 def log_abs_omega(nodes, z):

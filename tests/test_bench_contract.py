@@ -4,10 +4,12 @@ The tracer wraps lshapearc's functions by name, attributes
 `minimize_scalar` calls to the metric that made them, counts the
 integrand calls of `metrics.quad` (the panel Gauss-Legendre rule, which
 calls its integrand once per level of panels, with every point of the
-level), and recognises a level scan by its size (64 samples per node).
-This installs it as bench/run.py does and runs one call of each traced
-search, so that a rename or restructuring that blinds a traced benchmark
-run fails here.
+level), times `conformal.dist_to_level`, and recognises a level scan by
+its size (64 samples per node).  This installs it as bench/run.py does
+and runs one call of each traced search, and one `mz_ratio_worst`, whose
+single pass must still reach `quad` and `dist_to_level` by those names,
+so that a rename or restructuring that blinds a traced benchmark run
+fails here.
 """
 
 import sys
@@ -38,6 +40,7 @@ def test_tracer_sees_level_scans_and_refinements():
         lshapearc.muckenhoupt_constant(16, [2.0])
         lshapearc.lebesgue_constant(lshapearc.build_adjusted(16))
         lshapearc.mz_ratio(16, 2.0)
+        lshapearc.mz_ratio_worst(16, 2.0, [0, 3, 8])
         lshapearc.fit_growth([(16, 3.0), (32, 3.9), (64, 5.1), (128, 6.6)], "power_law")
     finally:
         tracer.uninstall()
@@ -51,4 +54,5 @@ def test_tracer_sees_level_scans_and_refinements():
     assert out["metrics.level_refine_evals"] > 0
     assert out["metrics.lebesgue_refine_evals"] > 0
     assert out["metrics.mz_quad_evals"] > 0
+    assert out["conformal.dist_s"] > 0
     assert out["metrics.fit_s"] > 0

@@ -3,17 +3,15 @@
 `_brent.minimize_bounded` is a port of scipy's bounded Brent; scipy stays
 the independent reference.  Equal means `==` on x, fun and nfev, and the
 same evaluation points in the same order, on a seeded set of functions
-and at the three call sites of the program.
+and at the two call sites of the program.
 """
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
-from lshapearc import _brent, conformal, metrics
-from lshapearc.conformal import LevelCurve, dist_to_level
+from lshapearc import _brent, metrics
 from lshapearc.families import build_adjusted
-from lshapearc.fold import fold_sister
 
 
 def _both(func, bounds, xatol):
@@ -102,17 +100,6 @@ def test_lebesgue_polish_matches_scipy(monkeypatch):
     got = metrics.lebesgue_constant(build_adjusted(64))
     assert len(calls) == 5
     assert (got.value, got.location) == (want.value, want.location)
-
-
-def test_dist_to_level_matches_scipy(monkeypatch):
-    n = 33
-    fam, curve = build_adjusted(n), LevelCurve(n)
-    seeds = [[float(a), fold_sister(float(a))] for a in fam.angles]
-    want = [dist_to_level(complex(z), curve, s) for z, s in zip(fam.points, seeds)]
-    calls = _checking(monkeypatch, conformal, "minimize_bounded")
-    got = [dist_to_level(complex(z), curve, s) for z, s in zip(fam.points, seeds)]
-    assert len(calls) == 2 * (n + 1)
-    assert got == want
 
 
 def test_power_fit_matches_scipy(monkeypatch):

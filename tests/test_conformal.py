@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,6 +14,8 @@ from lshapearc.conformal import (
     psi,
     psi_prime,
 )
+from lshapearc.families import build_adjusted
+from lshapearc.fold import fold_sister
 
 def test_zeros_at_pm_one():
     assert psi(1.0 + 0j) == 0
@@ -84,8 +87,6 @@ def test_dist_to_level_matches_brute_force():
     n = 256
     curve = LevelCurve(n)
     z = complex(boundary_point(np.pi / 3.0))
-    from lshapearc.fold import fold_sister
-
     d = dist_to_level(z, curve, [np.pi / 3.0, fold_sister(np.pi / 3.0)])
     tt = np.linspace(-np.pi, np.pi, 100_000)
     brute = np.min(np.abs(z - psi(curve.rho * np.exp(1j * tt))))
@@ -109,3 +110,62 @@ def test_dist_to_level_endpoint_bounded_by_seed_value():
 def test_dist_to_level_requires_seed():
     with pytest.raises(ValueError):
         dist_to_level(0j, LevelCurve(8), [])
+
+
+def _mp_dist(z, rho, seeds):
+    """50-digit min of |z - psi(rho e^{it})| over t within 0.75 of a seed.
+
+    Each window is sampled at 4001 float angles; every sampled local
+    minimum within 10% of the best sample is refined to the root of the
+    t-derivative of the squared distance between its neighbours, and a
+    best sample at a window's end counts as it is.
+    """
+    zc, r = mp.mpc(z.real, z.imag), mp.mpf(rho)
+
+    def dist(t):
+        w = r * mp.expj(t)
+        return abs((w - 1 / w) * mp.sqrt((w - 1) / (w + 1)) - zc)
+
+    def slope(t):  # half the t-derivative of the squared distance
+        w = r * mp.expj(t)
+        sq = mp.sqrt((w - 1) / (w + 1))
+        return mp.re(mp.conj((w - 1 / w) * sq - zc) * sq * (w * w + w + 1) / (w * w) * 1j * w)
+
+    best = mp.inf
+    for seed in seeds:
+        ts = seed + np.linspace(-0.75, 0.75, 4001)
+        g = np.abs(z - psi(rho * np.exp(1j * ts)))
+        for i in np.flatnonzero(g <= 1.1 * g.min()):
+            if i in (0, len(ts) - 1):
+                best = min(best, dist(mp.mpf(ts[i])))
+            elif g[i] <= min(g[i - 1], g[i + 1]):
+                t = mp.findroot(slope, (mp.mpf(ts[i - 1]), mp.mpf(ts[i + 1])), solver="anderson")
+                assert ts[i - 1] <= t <= ts[i + 1]
+                best = min(best, dist(t))
+    return best
+
+
+def test_dist_to_level_against_mpmath():
+    # every adjusted node at n <= 32, with both seeds
+    worst = 0.0
+    with mp.workdps(50):
+        for n in range(33):
+            fam, curve = build_adjusted(n), LevelCurve(n)
+            for z, t in zip(fam.points, fam.angles):
+                seeds = [float(t), fold_sister(float(t))]
+                ref = _mp_dist(complex(z), curve.rho, seeds)
+                worst = max(worst, abs(dist_to_level(complex(z), curve, seeds) - ref) / ref)
+    assert worst <= 1e-12
+
+
+def test_dist_to_level_takes_an_array_of_nodes():
+    n = 64
+    fam, curve = build_adjusted(n), LevelCurve(n)
+    ks = [5, 0, 40, 5]
+    seeds = [[float(fam.angles[k]), fold_sister(float(fam.angles[k]))] for k in ks]
+    d = dist_to_level(fam.points[ks], curve, seeds)
+    assert isinstance(d, np.ndarray) and d.shape == (4,)
+    # each node's distance is the one it gets alone
+    assert d.tolist() == [dist_to_level(complex(fam.points[k]), curve, s) for k, s in zip(ks, seeds)]
+    with pytest.raises(ValueError):
+        dist_to_level(fam.points[ks], curve, seeds[:3])

@@ -295,6 +295,38 @@ def test_quad_stops_on_an_integrand_it_cannot_resolve():
     assert points <= 16 * 2 * (1 + metrics._MAX_PANELS)
 
 
+def test_quad_columns_match_scalar_quad():
+    # each column of one quad has the (integral, points) of a quad of that column alone
+    def check(func, breaks, rtol, cols):
+        vals, counts = metrics.quad(func, breaks, rtol)
+        assert vals.shape == counts.shape == (len(cols),)
+        for c, col in enumerate(cols):
+            assert (vals[c], counts[c]) == metrics.quad(col, breaks, rtol)
+        return counts
+
+    def smooth(s):
+        return 1.0 + 3.0 * s**2 + s**13
+
+    def kink(s):
+        return np.abs(s) ** 1.5
+
+    def unresolved(s):
+        return np.sin(1e7 * s)
+
+    counts = check(lambda s: np.stack([smooth(s), kink(s)], axis=1), np.array([-1.0, 0.0, 1.0]), 1e-8, [smooth, kink])
+    assert counts[0] == 32 < counts[1]  # one level next to several
+    # every panel of the oscillating column fails until its 400 halvings run out at the level of 128 panels
+    counts = check(lambda s: np.stack([kink(s), unresolved(s)], axis=1), np.array([0.0, 0.5, 1.0]), 1e-20,
+                   [kink, unresolved])
+    assert counts[1] == 16 * (2 + 4 + 8 + 16 + 32 + 64 + 128)
+    for n in (16, 33, 64):
+        fam = build_adjusted(n)
+        ks = [3, 0, n // 2, 3, n]
+        func, breaks = metrics._basis_powers(fam, 3.5, ks)
+        cols = [lambda s, k=k: metrics._basis_powers(fam, 3.5, [k])[0](s)[:, 0] for k in ks]
+        check(func, breaks, 1e-8, cols)
+
+
 def test_mz_ratio_any_tolerance_terminates():
     ref = mz_ratio(16, 3.5, k=5)
     start = time.perf_counter()

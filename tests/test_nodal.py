@@ -62,6 +62,26 @@ def test_derivative_row_matches_table(monkeypatch):
         nodal._derivative_logs(pts, [5])
 
 
+def test_kernel_columns_match_one_value_reductions(monkeypatch):
+    # mz_ratio_worst reduces to a row of K values per point; each column must
+    # have the bits of the one-value reduction of its own, at any block size
+    runs = []
+    for cells in (7, 1 << 17):
+        monkeypatch.setattr(nodal, "_CHUNK_CELLS", cells)
+        for fam in (build_raw(40), build_adjusted(64)):
+            zs = boundary_point(np.linspace(-2.09, 2.09, 300))  # no node among them
+            ks = [0, fam.n // 3, fam.n, fam.n // 3]
+            block = nodal._pair_logs(zs, fam.points,
+                                     lambda ld, rows: np.exp(2.0 * (ld.sum(axis=1)[:, None] - ld[:, ks])))
+            assert block.shape == (len(zs), len(ks))
+            for c, k in enumerate(ks):
+                col = nodal._pair_logs(zs, fam.points, lambda ld, rows: np.exp(2.0 * (ld.sum(axis=1) - ld[:, k])))
+                assert col.shape == (len(zs),)
+                assert np.array_equal(block[:, c], col)
+            runs.append(block.tobytes())
+    assert runs[:2] == runs[2:]
+
+
 def _kernel_outputs():
     """Every reduction of the pair kernel, on multi-block inputs with rows that hit a node."""
     out = []
