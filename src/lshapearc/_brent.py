@@ -3,12 +3,16 @@
 `minimize_bounded` is Brent's golden-section search with parabolic steps
 (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 5),
 ported statement for statement from scipy 1.17.1's
-`scipy.optimize._optimize._minimize_scalar_bounded`.  It keeps that
-code's numpy scalar operations, so for the same function, bounds and
-xatol it evaluates the same points in the same order and returns the
-same x, fun and nfev, bit for bit; tests/test_brent.py checks that
-against scipy.  The port keeps scipy.optimize off the import path of
-the Lebesgue, level-curve and power-fit computations.
+`scipy.optimize._optimize._minimize_scalar_bounded` into the generator
+`_search`, which yields each point to evaluate where scipy calls func.
+It keeps that code's numpy scalar operations, so for the same function,
+bounds and xatol it evaluates the same points in the same order and
+returns the same x, fun and nfev, bit for bit; tests/test_brent.py
+checks that against scipy.  Given several brackets, `minimize_bounded`
+runs one search per bracket in lockstep: each step evaluates the next
+point of every live search in one call of func, and each search sees
+the values it would see alone.  The port keeps scipy.optimize off the
+import path of the Lebesgue, level-curve and power-fit computations.
 """
 
 from collections import namedtuple
@@ -16,6 +20,7 @@ from collections import namedtuple
 import numpy as np
 
 Bounded = namedtuple("Bounded", "x fun nfev")
+Lockstep = namedtuple("Lockstep", "runs nfev")  # runs: one Bounded per bracket; nfev: their total
 
 MAXFUN = 500  # scipy's default maxiter: the evaluation cap
 
@@ -24,23 +29,54 @@ _SQRT_EPS = np.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - np.sqrt(5.0))
 
 
-def minimize_bounded(func, bounds, xatol=1e-5) -> Bounded:
-    """Minimum of func on [bounds[0], bounds[1]] to an absolute tolerance xatol in x.
+def minimize_bounded(func, bounds, xatol=1e-5):
+    """Minimum of func on [a, b] to an absolute tolerance xatol in x.
 
-    Brent never evaluates the bounds themselves.  Stops after MAXFUN
-    evaluations at the latest, returning the best point found.
+    bounds is one pair (a, b): func takes a point, and the result is a
+    Bounded(x, fun, nfev).  Or it is a sequence of K pairs: the K
+    searches run in lockstep, func takes an array of points, one per
+    live search, and returns their values, and the result is a
+    Lockstep(runs, nfev) with each bracket's Bounded in order.  Brent
+    never evaluates the bounds themselves.  Each search stops after
+    MAXFUN evaluations at the latest, returning the best point found.
     """
-    a, b = bounds
-    if not all(np.size(v) == 1 and np.isfinite(v) for v in (a, b)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if a > b:
-        raise ValueError("The lower bound exceeds the upper bound.")
+    lockstep = np.ndim(bounds) == 2
+    pairs = bounds if lockstep else [bounds]
+    for a, b in pairs:
+        if not all(np.size(v) == 1 and np.isfinite(v) for v in (a, b)):
+            raise ValueError("Optimization bounds must be finite scalars.")
+        if a > b:
+            raise ValueError("The lower bound exceeds the upper bound.")
+    searches = [_search(a, b, xatol) for a, b in pairs]
+    xs = [next(s) for s in searches]
+    if not lockstep:
+        (search,), (x,) = searches, xs
+        try:
+            while True:
+                x = search.send(func(x))
+        except StopIteration as stop:
+            return stop.value
+    runs, live = [None] * len(searches), list(range(len(searches)))
+    while live:
+        fs, still = func(np.array([xs[i] for i in live])), []
+        for i, fx in zip(live, fs):
+            try:
+                xs[i] = searches[i].send(fx)
+                still.append(i)
+            except StopIteration as stop:
+                runs[i] = stop.value
+        live = still
+    return Lockstep(tuple(runs), sum(r.nfev for r in runs))
 
+
+def _search(a, b, xatol):
+    """The bounded Brent search on [a, b] as a generator: yields each point
+    to evaluate, is sent its value, and returns the Bounded result."""
     fulc = a + _GOLDEN_MEAN * (b - a)
     nfc, xf = fulc, fulc
     rat = e = 0.0
     x = xf
-    fx = func(x)
+    fx = yield x
     num = 1
 
     ffulc = fnfc = fx
@@ -79,7 +115,7 @@ def minimize_bounded(func, bounds, xatol=1e-5) -> Bounded:
 
         si = np.sign(rat) + (rat == 0)
         x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
+        fu = yield x
         num += 1
 
         if fu <= fx:

@@ -75,9 +75,20 @@ class FitResult:
 
 def _polish(g, t, v, lo, hi, xatol):
     """(value, location) of the bounded-Brent minimum of g on [lo, hi], or
-    of the grid sample v = g(t) unless the minimum is strictly below it."""
-    res = minimize_scalar(g, (lo, hi), xatol=xatol)
-    return (float(res.fun), float(res.x)) if res.fun < v else (float(v), float(t))
+    of the grid sample v = g(t) unless the minimum is strictly below it.
+
+    With arrays t, v, lo and hi of K starts, the K searches run in
+    lockstep (`minimize_scalar` with K brackets): g takes an array of
+    points, one per live search, and the result is a list of K pairs.
+    """
+
+    def pick(res, t, v):
+        return (float(res.fun), float(res.x)) if res.fun < v else (float(v), float(t))
+
+    if np.ndim(t) == 0:
+        return pick(minimize_scalar(g, (lo, hi), xatol=xatol), t, v)
+    runs = minimize_scalar(g, np.column_stack([lo, hi]), xatol=xatol).runs
+    return [pick(*run) for run in zip(runs, t, v)]
 
 
 def _arc_samples(f: NodeFamily, grid_per_gap: int):
@@ -100,6 +111,7 @@ _PRUNE_STRIDES = (16, 8, 4, 2, 1)  # chain points evaluated first, then in each 
 # amplifies by at most ~2n^2 eps near the arm's end: 3e-8 at n = 8192) and of theta
 _PRUNE_MARGIN = 1e-6
 _PRUNE_SLACK = 0.25  # widest n*delta/2 between neighbouring chain points; wider gaps get extra points
+_NARROW = 0.8  # widest n*delta/2 of a cell that enters U and gets a finite bound
 
 
 def _pruned_chain(values, ranked, evaluate, bound, keep):
@@ -181,17 +193,42 @@ def _arm_chain(n, ts):
     return theta, t, sample
 
 
-def _upper_arm_samples(f: NodeFamily, table, ts, corner):
-    """Lebesgue function at the upper-arm samples ts (folded, ascending) that
-    may rank among the _POLISH_STARTS largest, -inf at the others.
+def _szego(half, va, vb):
+    """U, and a bound on the Lebesgue function in each cell of the upper-arm chain.
 
-    The chain (`_arm_chain`) starts at the corner, valued `corner`; its
-    extra points are evaluated but not ranked.  A cell's bound is
-    Bernstein's (va + vb)/2 + n U delta/2 (see `lebesgue_constant`).  The
-    cell holding the max gives U = max over cells of
-    ((va + vb)/2)/(1 - n delta/2); cells with n delta/2 >= 1/2 are
-    always refined and stay out of U, so once no cell is open every cell
-    is in U, and U bounds the max.
+    A cell has half-width half = n delta/2 in theta and the values va, vb
+    at its ends.  For every sign pattern c, Re sum c_k l_k is a real
+    cosine polynomial of degree n in theta, bounded by U >= max of the
+    Lebesgue function, so by Szego's T'^2 + n^2 T^2 <= n^2 U^2 each
+    arccos(Re sum c_k l_k / U) is n-Lipschitz in theta, and so is their
+    min, arccos(lambda/U).  Inside the cell lambda therefore stays below
+    U cos(max(0, (arccos(va/U) + arccos(vb/U))/2 - half)).  In the cell
+    holding the max, one end lies within half of it in arccos(lambda/U),
+    so the max is at most max(va, vb)/cos(half) there: U is the max of
+    that over the narrow cells, half < _NARROW.  The other cells are
+    bounded by inf.  U and each bound carry a relative margin of
+    _PRUNE_MARGIN for rounding.
+    """
+    narrow = half < _NARROW
+    half, va, vb = half[narrow], va[narrow], vb[narrow]
+    u = (1.0 + _PRUNE_MARGIN) * np.max(np.maximum(va, vb) / np.cos(half), initial=0.0)
+    bound = np.full(len(narrow), np.inf)
+    phi = (np.arccos(va / u) + np.arccos(vb / u)) / 2.0
+    bound[narrow] = (1.0 + _PRUNE_MARGIN) * u * np.cos(np.maximum(0.0, phi - half))
+    return u, bound
+
+
+def _upper_arm_samples(f: NodeFamily, table, ts):
+    """Lebesgue function at the corner t = 0, at those of the upper-arm
+    samples ts (folded, ascending) that may rank among the _POLISH_STARTS
+    largest and at the endpoint t = 2pi/3, -inf at the other samples;
+    and U, a bound on its max over the arm.
+
+    The chain (`_arm_chain`) runs from the corner to the endpoint; its
+    extra points and both ends are evaluated but not ranked.  Each
+    cell's bound and U are `_szego`'s.  Cells with n delta/2 >= _NARROW
+    are always refined and stay out of U, so once no cell is open every
+    cell is in U, and U bounds the max.
     """
     theta, t, sample = _arm_chain(f.n, ts)
     ranked = sample.copy()
@@ -205,15 +242,12 @@ def _upper_arm_samples(f: NodeFamily, table, ts, corner):
         return lebesgue_function_grid(f, table, zs)
 
     def bound(a, b, va, vb):
-        slack, avg = f.n * (theta[a] - theta[b]) / 2.0, (va + vb) / 2.0
-        narrow = slack < 0.5
-        u = (1.0 + _PRUNE_MARGIN) * np.max(avg[narrow] / (1.0 - slack[narrow]), initial=0.0)
-        return np.where(narrow, (avg + u * slack) * (1.0 + _PRUNE_MARGIN), np.inf)
+        return _szego(f.n * (theta[a] - theta[b]) / 2.0, va, vb)[1]
 
-    values = np.full(len(theta), np.nan)
-    values[0] = corner
-    values = _pruned_chain(values, ranked, evaluate, bound, _POLISH_STARTS)
-    return values[sample][1:-1]
+    values = _pruned_chain(np.full(len(theta), np.nan), ranked, evaluate, bound, _POLISH_STARTS)
+    k = np.flatnonzero(values > -np.inf)
+    a, b = k[:-1], k[1:]
+    return values[sample], _szego(f.n * (theta[a] - theta[b]) / 2.0, values[a], values[b])[0]
 
 
 def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64) -> MetricRecord:
@@ -225,22 +259,24 @@ def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64) -> MetricRecord:
     t in [0, 2pi/3].  Samples grid_per_gap points inside every
     folded-angle gap of the whole arc, keeps the samples with t >= 0,
     then polishes the five best within two grid steps, inside the upper
-    arm, to REFINE_TOL in the angle; the corner t = 0 is a candidate too.
+    arm, to REFINE_TOL in the angle, the five Brent searches in lockstep;
+    the corner t = 0 and the endpoint t = 2pi/3 are candidates too.
 
     Only the samples that can be among the five best are evaluated
     (`_upper_arm_samples`).  On the arm z = 27^(1/4) e^{3pi i/4} s with
     s = (1 + cos theta)/2, every sum of c_k l_k(z) with |c_k| = 1 is a
-    cosine polynomial of degree n in theta.  By Bernstein's inequality
-    the Lebesgue function is then (n U)-Lipschitz in theta for any U
-    above its max, so on a cell of width delta between samples valued va
-    and vb it stays below (va + vb)/2 + n U delta/2.  A cell is skipped
-    only while that bound, with a relative margin of _PRUNE_MARGIN for
-    rounding, is below the fifth-best sample, and every skipped cell is
-    certified again against the final U and fifth-best sample.  Each
-    evaluated sample has the bits it has in the full grid, so the result
-    is bitwise that of evaluating every sample.  settings["grid_samples"]
-    and settings["grid_evaluated"] count the samples and the evaluated
-    ones.
+    cosine polynomial of degree n in theta, so by the Bernstein-Szego
+    inequality arccos(lambda/U) is n-Lipschitz in theta for any U above
+    the max, which bounds lambda inside each cell between samples
+    (`_szego`).  A cell is skipped only while that bound, with a
+    relative margin of _PRUNE_MARGIN for rounding, is below the
+    fifth-best sample, and every skipped cell is certified again against
+    the final U and fifth-best sample.  Each evaluated sample has the
+    bits it has in the full grid, so the result is bitwise that of
+    evaluating every sample.  settings["grid_samples"] and
+    settings["grid_evaluated"] count the samples and the evaluated ones,
+    and settings["bracket"] is [value, U], U the chain's final bound on
+    the max.
     """
     settings = {"grid_per_gap": grid_per_gap, "refine_tol": REFINE_TOL}
     if grid_per_gap < 8:
@@ -250,20 +286,24 @@ def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64) -> MetricRecord:
     table = build_derivative_table(f)
 
     def neg(t):
-        return -lebesgue_function(f, table, complex(boundary_point(t)))
+        return -lebesgue_function_grid(f, table, boundary_point(t))
 
-    # Brent never evaluates a bracket's ends, so the corner t = 0, where
-    # the clamped brackets end, is a candidate of its own
-    best_val, best_t = -neg(0.0), 0.0
     ts, h = _arc_samples(f, grid_per_gap)
     ts = ts[ts >= 0.0]
-    lam = _upper_arm_samples(f, table, ts, best_val)
+    values, cap = _upper_arm_samples(f, table, ts)
+    lam = values[1:-1]
     settings.update(grid_samples=len(ts), grid_evaluated=int(np.count_nonzero(lam > -np.inf)))
-    for i in np.argsort(lam)[::-1][:_POLISH_STARTS]:
-        lo, hi = max(ts[i] - 2 * h, 0.0), min(ts[i] + 2 * h, CORNER_ANGLE)
-        v, t = _polish(neg, ts[i], -lam[i], lo, hi, REFINE_TOL)
+    # Brent never evaluates a bracket's ends, so the corner t = 0 and the
+    # endpoint t = 2pi/3, where the clamped brackets end, are candidates of their own
+    best_val, best_t = float(values[0]), 0.0
+    if values[-1] > best_val:
+        best_val, best_t = float(values[-1]), CORNER_ANGLE
+    top = np.argsort(lam)[::-1][:_POLISH_STARTS]
+    lo, hi = np.maximum(ts[top] - 2 * h, 0.0), np.minimum(ts[top] + 2 * h, CORNER_ANGLE)
+    for v, t in _polish(neg, ts[top], -lam[top], lo, hi, REFINE_TOL):
         if -v > best_val:
             best_val, best_t = -v, t
+    settings["bracket"] = [best_val, float(cap)]
     return MetricRecord("lebesgue_constant", f.n, f.kind, best_val, location=best_t, settings=settings)
 
 

@@ -3,7 +3,8 @@
 `_brent.minimize_bounded` is a port of scipy's bounded Brent; scipy stays
 the independent reference.  Equal means `==` on x, fun and nfev, and the
 same evaluation points in the same order, on a seeded set of functions
-and at the two call sites of the program.
+and at the two call sites of the program.  A lockstep call with several
+brackets gives each bracket the run it gets alone.
 """
 
 import numpy as np
@@ -80,25 +81,63 @@ def test_refuses_bad_bounds():
         _brent.minimize_bounded(abs, (0.0, np.inf))
     with pytest.raises(ValueError, match="exceeds"):
         _brent.minimize_bounded(abs, (1.0, 0.0))
+    with pytest.raises(ValueError, match="exceeds"):  # any bracket of a lockstep call
+        _brent.minimize_bounded(np.abs, [(0.0, 1.0), (1.0, 0.0)])
 
 
 def _checking(monkeypatch, module, name):
-    """Replace module.name by a minimiser that runs the port and scipy on every call and compares them."""
+    """Replace module.name by a minimiser that runs the port and scipy on every call and compares them.
+
+    A lockstep call (several brackets, func taking an array of points) is
+    compared bracket by bracket through a scalar view of func: each run's
+    x, fun and nfev are `==` to those of the port alone, which matches scipy.
+    """
     calls = []
 
     def checked(func, bounds, xatol):
         calls.append(bounds)
-        return _assert_same(func, bounds, xatol)
+        if np.ndim(bounds) < 2:
+            return _assert_same(func, bounds, xatol)
+        res = _brent.minimize_bounded(func, bounds, xatol)
+        for run, pair in zip(res.runs, bounds, strict=True):
+            alone = _assert_same(lambda x: func(np.array([x]))[0], tuple(pair), xatol)
+            assert (run.x, run.fun, run.nfev) == (alone.x, alone.fun, alone.nfev)
+        assert res.nfev == sum(run.nfev for run in res.runs)
+        return res
 
     monkeypatch.setattr(module, name, checked)
     return calls
+
+
+def test_lockstep_runs_each_bracket_as_alone():
+    # one objective of + and * only (bitwise the same on a scalar and in an array),
+    # on brackets whose searches end after different numbers of steps
+    def g(x):
+        return (x * x - 1.0) * (x * x - 1.0) + 0.3 * x + 0.05 * np.floor(3.0 * x)
+
+    brackets = [(-2.0, 1.7), (0.5, 4.0), (-1.0, 1.0), (1.0, 1.0), (-3.0, 3.0), (0.2, 0.3)]
+    sizes = []
+
+    def batch(xs):
+        sizes.append(len(xs))
+        return g(xs)
+
+    res = _brent.minimize_bounded(batch, brackets, xatol=1e-9)
+    assert len(res.runs) == len(brackets)
+    for pair, run in zip(brackets, res.runs):
+        alone = _brent.minimize_bounded(g, pair, xatol=1e-9)
+        assert (run.x, run.fun, run.nfev) == (alone.x, alone.fun, alone.nfev), pair
+    # one call per step, each with one point per live search
+    assert res.nfev == sum(run.nfev for run in res.runs) == sum(sizes)
+    assert len(sizes) == max(run.nfev for run in res.runs)
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] == len(brackets)
 
 
 def test_lebesgue_polish_matches_scipy(monkeypatch):
     want = metrics.lebesgue_constant(build_adjusted(64))
     calls = _checking(monkeypatch, metrics, "minimize_scalar")
     got = metrics.lebesgue_constant(build_adjusted(64))
-    assert len(calls) == 5
+    assert [len(c) for c in calls] == [5]  # one lockstep call for the five starts
     assert (got.value, got.location) == (want.value, want.location)
 
 

@@ -1,6 +1,7 @@
 """mpmath oracles for the pair kernel behind every nodal quantity, for
-the MZ basis integral built on it, and for the premise of the pruned
-Lebesgue search.
+the MZ basis integral built on it, and for the premises of the pruned
+Lebesgue search: its Bernstein and Szego bounds, and arc points whose
+bits do not depend on the call shape.
 
 The float64 nodes are taken as exact inputs; the oracle evaluates the
 same sums of log|z - x_k| in 50-digit arithmetic, and the basis integral
@@ -147,6 +148,42 @@ def test_lebesgue_function_is_bernstein_lipschitz_in_theta(kind):
     with mp.workdps(50):
         dlogs = _mp_derivative_logs(f.points)
         assert all(_close(v, _mp_lebesgue(z, f.points, dlogs)) for v, z in zip(lam, zs))
+
+
+@pytest.mark.parametrize("kind", ["raw", "adjusted"])
+def test_arccos_of_lebesgue_function_is_szego_lipschitz_in_theta(kind):
+    # the premise of the Szego cell bound: with M at or above the max,
+    # arccos(lambda/M) is n-Lipschitz in theta on the upper arm.  The grid
+    # max is within 1 - cos(n pi/40000) < 4e-6 of the max at n <= 32
+    theta = np.linspace(0.0, np.pi, 20001)
+    zs = arm_point(1, np.cos(theta / 2.0) ** 2)
+    i, j = np.random.default_rng(7).integers(0, len(theta), (2, 20000))
+    for n in range(33):
+        f = _family(kind, n)
+        lam = lebesgue_function_grid(f, build_derivative_table(f), zs)
+        phi = np.arccos(lam / (lam.max() * (1.0 + 1e-5)))
+        slop = 1e-9  # rounding of lam, amplified by arccos' slope near 1 (< 300 here)
+        assert np.all(np.abs(np.diff(phi)) <= n * np.diff(theta) + slop), n
+        assert np.all(np.abs(phi[i] - phi[j]) <= n * np.abs(theta[i] - theta[j]) + slop), n
+
+
+def test_boundary_point_bits_do_not_depend_on_the_call_shape():
+    # the Lebesgue chain evaluates its samples, the corner and the endpoint in
+    # arrays, the lockstep polish its points in batches of five down to one,
+    # and a scalar polish in 0-d calls; all must see the same points, bit for
+    # bit.  (level_point does not have this property off the unit circle.)
+    ends = np.geomspace(1e-15, 0.5, 50000)
+    ts = np.unique(np.concatenate([[0.0, CORNER_ANGLE], ends, CORNER_ANGLE - ends, np.linspace(0.0, CORNER_ANGLE, 160001)]))
+    assert len(ts) >= 250000
+    full = boundary_point(ts)
+    shapes = {
+        "0-d": [boundary_point(t) for t in ts],
+        "1 element": np.concatenate([boundary_point(ts[i : i + 1]) for i in range(len(ts))]),
+        "batch of 5": np.concatenate([boundary_point(ts[i : i + 5]) for i in range(0, len(ts), 5)]),
+    }
+    for name, zs in shapes.items():
+        zs = np.asarray(zs)
+        assert np.array_equal(zs.real, full.real) and np.array_equal(zs.imag, full.imag), name
 
 
 def test_arm_angle_against_mpmath():

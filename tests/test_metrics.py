@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from lshapearc import metrics
-from lshapearc.conformal import CORNER_ANGLE, LevelCurve, arc_length, boundary_point, dist_to_level, level_point
+from lshapearc.conformal import (
+    CORNER_ANGLE,
+    LevelCurve,
+    arc_length,
+    arm_point,
+    boundary_point,
+    dist_to_level,
+    level_point,
+)
 from lshapearc.families import build_adjusted, build_raw
 from lshapearc.metrics import (
     choose_ratio_index,
@@ -69,7 +77,9 @@ def test_lebesgue_constant_stays_on_upper_arm(monkeypatch):
 
 def _dense_lebesgue_constant(f, grid_per_gap):
     """(value, location) of the search before its grid was pruned: every
-    upper-arm sample, the five best by np.argsort, and the same polish."""
+    upper-arm sample, the five best by np.argsort, and the same polish,
+    one scalar search after another; the corner and the endpoint are
+    candidates, the corner first."""
     table = build_derivative_table(f)
     ts, h = metrics._arc_samples(f, grid_per_gap)
     ts = ts[ts >= 0.0]
@@ -79,6 +89,8 @@ def _dense_lebesgue_constant(f, grid_per_gap):
         return -lebesgue_function(f, table, complex(boundary_point(t)))
 
     best = (-neg(0.0), 0.0)
+    if -neg(CORNER_ANGLE) > best[0]:
+        best = (-neg(CORNER_ANGLE), CORNER_ANGLE)
     for i in np.argsort(lam)[::-1][:5]:
         lo, hi = max(ts[i] - 2 * h, 0.0), min(ts[i] + 2 * h, CORNER_ANGLE)
         v, t = metrics._polish(neg, ts[i], -lam[i], lo, hi, metrics.REFINE_TOL)
@@ -90,9 +102,18 @@ def _dense_lebesgue_constant(f, grid_per_gap):
 @pytest.mark.parametrize("grid_per_gap", [8, 64, 128])
 def test_pruned_lebesgue_search_makes_the_dense_searchs_polish_calls(monkeypatch, grid_per_gap):
     # the polish is a function of its arguments alone, so both searches record
-    # them in place of running Brent: the same calls give the same result
+    # them in place of running Brent: the same starts give the same result.
+    # The pruned search makes one lockstep call, recorded start by start
     calls, chains, prune = [], [], metrics._pruned_chain
-    monkeypatch.setattr(metrics, "_polish", lambda g, t, v, lo, hi, xatol: calls.append((t, v, lo, hi, xatol)) or (v, t))
+
+    def record(g, t, v, lo, hi, xatol):
+        if np.ndim(t) == 0:
+            calls.append((t, v, lo, hi, xatol))
+            return v, t
+        calls.extend((*start, xatol) for start in zip(t, v, lo, hi))
+        return list(zip(v, t))
+
+    monkeypatch.setattr(metrics, "_polish", record)
     monkeypatch.setattr(metrics, "_pruned_chain", lambda *args: chains.append(args) or prune(*args))
     for build in (build_raw, build_adjusted):
         for n in range(97):
@@ -119,6 +140,36 @@ def test_pruned_lebesgue_search_at_1024_skips_half_the_grid():
     rec = lebesgue_constant(f)
     assert (rec.value, rec.location) == _dense_lebesgue_constant(f, 64)
     assert rec.settings["grid_evaluated"] <= rec.settings["grid_samples"] / 2
+
+
+def _fine_arm_max(f):
+    """Max of the Lebesgue function on the upper arm, searched apart from
+    lebesgue_constant: 2^14 + 1 equal steps in theta over [0, pi] through
+    arm_point, then twice a 1025-point grid around each of the eight best
+    local maxima, each 512 times finer than the last."""
+    table = build_derivative_table(f)
+    theta, step = np.linspace(0.0, np.pi, 2**14 + 1), np.pi / 2**14
+    best = -np.inf
+    for _ in range(3):
+        lam = lebesgue_function_grid(f, table, arm_point(1, np.cos(theta / 2.0) ** 2))
+        best = max(best, lam.max())
+        pad = np.r_[-np.inf, lam, -np.inf]
+        peaks = np.flatnonzero((lam >= pad[:-2]) & (lam >= pad[2:]))
+        top = theta[peaks[np.argsort(lam[peaks])[::-1][:8]]]
+        theta = np.unique(np.clip(top[:, None] + step * np.linspace(-1.0, 1.0, 1025), 0.0, np.pi))
+        step /= 512
+    return best
+
+
+@pytest.mark.parametrize("build", [build_raw, build_adjusted])
+def test_lebesgue_bracket_holds_the_fine_grid_max(build):
+    for n in range(65):
+        rec = lebesgue_constant(build(n))
+        lo, hi = rec.settings["bracket"]
+        ref = _fine_arm_max(build(n))
+        assert lo == rec.value and np.isfinite(hi), n
+        # the value is the max to rounding, and U is above it
+        assert abs(ref - lo) <= 1e-12 * lo and ref <= hi, n
 
 
 def test_adjusted_n32_band():
