@@ -28,9 +28,9 @@ def psi(w):
     product has a removable 0*inf limit at w = -1 where the value is 0.
     """
     w = np.asarray(w, dtype=complex)
-    if np.any(w == 0):
+    if (w == 0).any():
         raise ValueError("psi is undefined at w = 0")
-    if np.any(np.abs(w) < 1.0 - 1e-9):
+    if (np.abs(w) < 1.0 - 1e-9).any():
         raise ValueError("psi requires |w| >= 1")
     # inputs within machine rounding of -1 (e.g. exp(i*pi)) are snapped
     # to the removable limit: the map is sqrt-sensitive there and the
@@ -51,11 +51,11 @@ def psi_prime(w):
     pole at w = -1.
     """
     w = np.asarray(w, dtype=complex)
-    if np.any(w == -1.0):
+    if (w == -1.0).any():
         raise ValueError("psi_prime has a singularity at w = -1")
-    if np.any(w == 0):
+    if (w == 0).any():
         raise ValueError("psi_prime is undefined at w = 0")
-    if np.any(np.abs(w) < 1.0 - 1e-9):
+    if (np.abs(w) < 1.0 - 1e-9).any():
         raise ValueError("psi_prime requires |w| >= 1")
     out = np.sqrt((w - 1.0) / (w + 1.0)) * (w * w + w + 1.0) / (w * w)
     if out.ndim == 0:

@@ -337,9 +337,15 @@ def _level_scan(points, curve: LevelCurve):
     """64(n+1) uniform angles on [-pi, pi) and log|omega| at the level-curve points there.
 
     The one scan behind the level-curve extrema, the A_p window centre
-    and the ratio index.
+    and the ratio index.  The grid is mirror-symmetric: linspace's
+    samples from the middle one on, and each earlier sample but -pi the
+    exact negative of its twin, tg[N - i] == -tg[i], so that the pair
+    kernel evaluates one row of each conjugate pair of level points and
+    copies the other.
     """
     tg = np.linspace(-np.pi, np.pi, 64 * (curve.n + 1), endpoint=False)
+    mid = len(tg) // 2
+    tg[1:mid] = -tg[:mid:-1]
     return tg, log_abs_omega(points, level_point(curve, tg))
 
 

@@ -16,6 +16,20 @@ block, such as a scalar refinement step, runs inline.  Each row is
 reduced whole, by the same operations in the same order, inside one
 block, so every result is bitwise independent of the block size, the
 thread count and the order in which the threads run.
+
+Conjugate twin rows are evaluated once.  Both node families are
+exactly conjugate-symmetric, pts[(s - j) mod N] == conj(pts[j]) with
+s = 0 or -1, and so are the level-curve scan and a derivative table's
+own rows.  IEEE subtraction rounds symmetrically, so
+|conj(z) - x| == |z - conj(x)| bit for bit: where zs[r] == conj(zs[i])
+exactly, the logs of row r are those of row i with the columns mirrored.
+A call with more than one block, whose nodes all have their exact twin,
+evaluates only the first half of the rows of zs (pairing i with
+(s' - i) mod M, s' = 0 or -1 as zs[-1] is the exact conjugate of zs[1]
+or of zs[0]) and copies each twin row from its partner, column by
+column; a row whose partner is not its exact conjugate is evaluated.
+The copied row holds the values direct evaluation gives, and the same
+reduction sums it in the same order, so the result keeps its bits.
 """
 
 import os
@@ -46,6 +60,14 @@ _new_pool()
 os.register_at_fork(after_in_child=_new_pool)
 
 
+def _twin_start(a):
+    """Where a pairs up as a[k + j] == conj(a[-1 - j]), the k that a[-1] shows: 1 if it is the exact
+    conjugate of a[1] (a[0] is then its own twin), else 0 if it is that of a[0], else None."""
+    if len(a) > 1 and a[-1] == a[1].conjugate():
+        return 1
+    return 0 if a[-1] == a[0].conjugate() else None
+
+
 def _pair_logs(zs, pts, reduce) -> np.ndarray:
     """reduce(ld, rows) over row blocks ld[i, k] = log|zs[rows][i] - pts[k]|.
 
@@ -54,31 +76,76 @@ def _pair_logs(zs, pts, reduce) -> np.ndarray:
     overwrite ld) and released inside one task, so each thread holds at
     most one block of _CHUNK_CELLS cells.  The result has one entry, or
     one row of K, per point of zs.  A failure raises from the first
-    failing block in row order.
+    failing row.  A call of more than one block on conjugate-symmetric
+    nodes copies twin rows (module docstring): a task then holds half a
+    block of evaluated rows and their twins.
     """
     chunk = max(1, _CHUNK_CELLS // max(1, len(pts)))
     out = None
     sized = threading.Lock()
 
-    def block(i0):
+    def store(rows, r):
         nonlocal out
-        rows = slice(i0, i0 + chunk)
-        # errstate is context-local: each worker thread enters its own
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            d = np.abs(zs[rows, None] - pts[None, :])
-            r = reduce(np.log(d, out=d), rows)
         with sized:  # the first block done fixes the shape: one value, or a row of K, per point
             if out is None:
                 out = np.empty((len(zs),) + r.shape[1:])
         out[rows] = r
 
-    starts = range(0, len(zs), chunk)
-    if len(starts) > 1:
-        for _ in _pool.map(block, starts):  # read every result, so that a failure raises here
-            pass
-    else:
-        for i0 in starts:
-            block(i0)
+    def logs(z, spare=0):
+        """A fresh array of len(z) + spare rows, the first len(z) of them the logs of the points z."""
+        c = z[:, None] - pts[None, :]
+        d = np.empty((len(z) + spare, len(pts)))  # after c, as np.abs(c) would allocate it
+        np.log(np.abs(c, out=d[: len(z)]), out=d[: len(z)])
+        return d
+
+    def block(i0):
+        rows = slice(i0, i0 + chunk)
+        # errstate is context-local: each worker thread enters its own
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ld = logs(zs[rows])  # held until stored: the result, allocated by the first store, fills the hole of c
+            store(rows, reduce(ld, rows))
+
+    task, starts = block, range(0, len(zs), chunk)
+    kp = _twin_start(pts) if len(starts) > 1 else None
+    # every node has its exact twin, checked before zs is read
+    symmetric = kp is not None and (kp == 0 or pts[0].imag == 0) and np.array_equal(pts[kp:][::-1], pts[kp:].conj())
+    kz = _twin_start(zs) if symmetric else None
+    if kz is not None:
+        # row kz + j pairs with row m-1-j for j < h; rows 0..p-1 are evaluated, rows p..m-1 are twins
+        m = len(zs)
+        h = (m - kz) // 2
+        p = m - h
+        half = max(1, chunk // 2)
+
+        def twin_block(a):
+            """Evaluate rows a..b-1, copy the twins of those in kz..kz+h-1, and reduce both; a failure
+            of the twins is returned, not raised, as their rows come after every evaluated row."""
+            b = min(a + half, p)
+            lo, hi = max(a, kz), min(b, kz + h)
+            twins = slice(m - hi + kz, m - lo + kz)  # ascending: the twins of rows hi-1 down to lo
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                # the twins share the array of the evaluated rows, so that a task allocates what a
+                # plain block does, the complex differences and then one array of a block's size
+                d = logs(zs[a:b], spare=hi - lo)
+                ld, tw = d[: b - a], d[b - a :]
+                if hi > lo:
+                    src = ld[lo - a : hi - a][::-1]
+                    tw[:, :kp], tw[:, kp:] = src[:, :kp], src[:, kp:][:, ::-1]
+                    odd = np.flatnonzero(zs[twins] != zs[lo:hi][::-1].conj())
+                    if len(odd):  # not an exact twin: evaluated
+                        tw[odd] = logs(zs[twins][odd])
+                store(slice(a, b), reduce(ld, slice(a, b)))
+                if hi > lo:
+                    try:
+                        store(twins, reduce(tw, twins))
+                    except Exception as e:
+                        return e
+
+        task, starts = twin_block, range(0, p, half)
+    # read every result, so that a failure raises here; a call of one block runs inline
+    failed = [e for e in (_pool.map(task, starts) if len(starts) > 1 else map(task, starts)) if e is not None]
+    if failed:
+        raise failed[-1]  # the twins of later blocks come first in row order
     return np.empty(0) if out is None else out
 
 

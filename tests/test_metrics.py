@@ -206,6 +206,37 @@ def test_level_max_grid_sample_wins_a_tie(n):
     assert level_minmax(n)[1].location == 0.0
 
 
+def test_level_scan_grid_is_mirror_symmetric(monkeypatch):
+    monkeypatch.setattr(metrics, "log_abs_omega", lambda pts, zs: np.zeros(len(zs)))  # the grid alone
+    for n in list(range(301)) + [2 ** k for k in range(9, 13)]:
+        curve = LevelCurve(n)
+        tg, _ = metrics._level_scan(None, curve)
+        big, mid = len(tg), len(tg) // 2
+        assert big == 64 * (n + 1)
+        # linspace's samples from the middle on, -pi first, and every other sample its twin's negative
+        assert np.array_equal(tg[mid:], np.linspace(-np.pi, np.pi, big, endpoint=False)[mid:])
+        assert tg[0] == -np.pi and np.array_equal(tg[1:mid], -tg[:mid:-1])
+        zs = level_point(curve, tg)
+        assert np.array_equal(zs[1:mid], zs[:mid:-1].conj())
+
+
+def _linspace_ratio_index(n, family):
+    """choose_ratio_index on the scan grid np.linspace(-pi, pi, 64(n+1), endpoint=False)."""
+    curve = LevelCurve(n)
+    tg = np.linspace(-np.pi, np.pi, 64 * (n + 1), endpoint=False)
+    t0 = abs(float(tg[np.argmin(log_abs_omega(family.points, level_point(curve, tg)))]))
+    return int(np.argmin(np.abs(family.points - complex(level_point(curve, t0)))))
+
+
+def test_ratio_index_is_that_of_the_linspace_scan():
+    for n in range(1, 301):
+        fam = build_adjusted(n)
+        assert choose_ratio_index(n, fam) == _linspace_ratio_index(n, fam)
+    # the linspace scan's indices at 2^9..2^12, where it takes seconds
+    for n in (512, 1024, 2048, 4096):
+        assert choose_ratio_index(n, build_adjusted(n)) == n // 2
+
+
 def test_muckenhoupt_n16():
     # restates criterion 07's (16, 2) cell, which cannot carry it: the criterion fails on the (64, 2) cell
     (rec,) = muckenhoupt_constant(16, [2.0])
@@ -258,12 +289,14 @@ def test_muckenhoupt_matches_window_loop(n, p):
 
 @pytest.mark.parametrize("n", [16, 512])
 def test_muckenhoupt_centre_is_the_upper_twin(n):
-    # the coarse-scan argmin lies at t < 0 for these degrees
+    # the scan minimum comes as a pair of twin samples +-t, and rounding makes the one at t < 0
+    # smaller at n = 512 and the one at t > 0 at n = 16; the centre is t >= 0 either way
     curve = LevelCurve(n)
     tg, lw = metrics._level_scan(build_raw(n).points, curve)
-    assert tg[np.argmin(lw)] < 0
+    i = np.argmin(lw)
+    assert tg[len(tg) - i] == -tg[i] and (tg[i] < 0) == (n == 512)
     (rec,) = muckenhoupt_constant(n, [2.0], window_max=0)
-    assert rec.location == -tg[np.argmin(lw)]
+    assert rec.location == abs(tg[i])
 
 
 def test_muckenhoupt_records_follow_ps_and_match_single_calls():

@@ -4,8 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from lshapearc import nodal
-from lshapearc.conformal import boundary_point
+from lshapearc import metrics, nodal
+from lshapearc.conformal import LevelCurve, arm_point, boundary_point, level_point
 from lshapearc.families import build_adjusted, build_raw, theta_grid
 from lshapearc.nodal import (
     asymptotic_omega_estimate,
@@ -113,6 +113,112 @@ def test_blocking_cannot_change_a_number(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(run == runs[0] for run in runs[1:])
+
+
+def _direct(zs, pts, diagonal=False):
+    """Each row's log|omega| by a loop over the points: one row of logs, summed (its own column
+    skipped where the points are the nodes)."""
+    out = np.empty(len(zs))
+    with np.errstate(divide="ignore"):
+        for i, z in enumerate(zs):
+            ld = np.log(np.abs(z - pts))
+            if diagonal:
+                ld[i] = 0.0
+            out[i] = ld.sum()
+    return out
+
+
+class _SpyPool:
+    """The kernel's pool, recording the name of each task function it maps."""
+
+    def __init__(self, names):
+        self.names = names
+
+    def map(self, fn, items):
+        self.names.append(fn.__name__)
+        return [fn(i) for i in items]
+
+
+def _mirrored_scan(n):
+    """The level scan's angles and points at degree n."""
+    curve = LevelCurve(n)
+    tg = np.linspace(-np.pi, np.pi, 64 * (n + 1), endpoint=False)
+    tg[1 : len(tg) // 2] = -tg[: len(tg) // 2 : -1]
+    return level_point(curve, tg)
+
+
+def test_twin_rows_match_a_direct_loop(monkeypatch):
+    # copied twin rows must hold the bits direct evaluation gives
+    names = []
+    monkeypatch.setattr(nodal, "_pool", _SpyPool(names))
+    for cells in (7, 1 << 17):
+        monkeypatch.setattr(nodal, "_CHUNK_CELLS", cells)
+        for n in list(range(65)) + [255, 256, 1025]:
+            for fam in (build_raw(n), build_adjusted(n)):
+                names.clear()
+                assert np.array_equal(build_derivative_table(fam).logs, _direct(fam.points, fam.points, True))
+                # the twin path serves every call of more than one block
+                assert names == (["twin_block"] if n + 1 > max(1, cells // (n + 1)) else [])
+        for n in (0, 1, 16, 17, 255):
+            pts, zs = build_raw(n).points, _mirrored_scan(n)
+            names.clear()
+            assert np.array_equal(log_abs_omega(pts, zs), _direct(zs, pts))
+            assert names == (["twin_block"] if len(zs) > max(1, cells // (n + 1)) else [])
+
+
+def test_twin_rows_of_the_lebesgue_and_column_reductions(monkeypatch):
+    monkeypatch.setattr(nodal, "_CHUNK_CELLS", 1 << 10)
+    u = np.linspace(0.01, 1.0, 150)
+    s = np.concatenate([-u[::-1], u])  # conjugate points on the two arms, no node among them
+    zs = arm_point(np.sign(s), np.abs(s))
+    assert np.array_equal(zs[::-1], zs.conj())
+    for fam in (build_raw(40), build_adjusted(64)):
+        pts, logs = fam.points, build_derivative_table(fam).logs
+        with np.errstate(divide="ignore"):
+            lam = [np.exp(np.log(np.abs(z - pts)).sum() - np.log(np.abs(z - pts)) - logs).sum() for z in zs]
+        assert np.array_equal(lebesgue_function_grid(fam, build_derivative_table(fam), zs), lam)
+        ks = [0, fam.n // 3, fam.n, 1]
+        func, _ = metrics._basis_powers(fam, 2.0, ks)
+        log_dk = nodal._derivative_logs(pts, ks)
+        cols = [np.exp(2.0 * (np.log(np.abs(z - pts)).sum() - log_dk - np.log(np.abs(z - pts))[ks])) for z in zs]
+        assert np.array_equal(func(s), cols)
+
+
+def test_a_node_off_its_twin_falls_back_and_a_point_off_its_twin_is_evaluated(monkeypatch):
+    names = []
+    monkeypatch.setattr(nodal, "_pool", _SpyPool(names))
+    fam, zs = build_raw(64), _mirrored_scan(64)
+    for k, moved in ((3, lambda x: complex(np.nextafter(x.real, np.inf), x.imag)),
+                     (0, lambda x: complex(x.real, np.nextafter(x.imag, np.inf)))):  # node 0 is its own twin
+        names.clear()
+        pts = fam.points.copy()
+        pts[k] = moved(pts[k])
+        assert np.array_equal(log_abs_omega(pts, zs), _direct(zs, pts))
+        assert names == ["block"]
+    moved = zs.copy()
+    r = len(zs) - 5  # the twin of row 5, in the copied half
+    moved[r] = complex(np.nextafter(moved[r].real, np.inf), moved[r].imag)
+    # a copy of row 5 would give the unmoved point's value
+    assert _direct(moved[r : r + 1], fam.points)[0] != _direct(zs[r : r + 1], fam.points)[0]
+    names.clear()
+    assert np.array_equal(log_abs_omega(fam, moved), _direct(moved, fam.points))
+    assert names == ["twin_block"]
+
+
+def test_duplicate_nodes_in_copied_rows_are_refused_as_before(monkeypatch):
+    # a conjugate-symmetric node set with two duplicate pairs, (2, 5) and their twins (7, 4)
+    pts = build_raw(8).points.copy()
+    pts[5], pts[4] = pts[2], pts[7]
+    cases = [(np.arange(9), "2 and 5"),  # the first failing row is evaluated, its twin copied
+             # rows 3 and 4 are twin rows whose partners are not their conjugates: evaluated, in
+             # different blocks, and the first of them in row order names the pair
+             ([1, 3, 0, 7, 2, 8], "7 and 4"),
+             ([1, 3, 6, 2, 8], "2 and 5")]
+    for ks, pair in cases:
+        for cells in (1, 18, 36, 1 << 17):
+            monkeypatch.setattr(nodal, "_CHUNK_CELLS", cells)
+            with pytest.raises(ValueError, match=rf"^duplicate nodes at indices {pair}$"):
+                nodal._derivative_logs(pts, ks)
 
 
 def test_surrogate_vanishes_at_nodes():
