@@ -58,15 +58,20 @@ def test_round_trip():
     # geometric toward both ends of [2pi/3, pi], densely at t - 2pi/3 in
     # [1e-6, 2.3e-6], where a solver that matches profiles loses half its
     # digits, and at [5e-4, 5e-3], where a Newton step on the flat profile
-    # amplifies rounding; and at t - 2pi/3 = 1e-6..1e-9, where the profile
-    # is quadratically flat
-    d = np.concatenate([np.geomspace(1e-9, 0.5, 60), np.geomspace(1e-6, 2.3e-6, 100), np.geomspace(5e-4, 5e-3, 100),
-                        10.0 ** -np.arange(6.0, 10.0)])
+    # amplifies rounding
+    d = np.concatenate([np.geomspace(1e-9, 0.5, 60), np.geomspace(1e-6, 2.3e-6, 100), np.geomspace(5e-4, 5e-3, 100)])
     t = np.concatenate([CORNER_ANGLE + d, np.pi - d[:60]])
     js = np.append(np.outer([1.0, -1.0, 0.5], fold_closed_form(t)), [0.0, CORNER_ANGLE])
     ts = unfold(js)
     assert np.all(ts == [unfold(float(x)) for x in js])
     assert np.all(np.abs(ts[: 2 * t.size] - np.concatenate([t, -t])) < 1e-14)
+
+
+def test_round_trip_near_corner():  # where the profile is quadratically flat
+    t = CORNER_ANGLE + 10.0 ** -np.arange(6.0, 10.0)
+    ts = unfold(fold_closed_form(t))
+    assert np.all(ts == [unfold(fold_closed_form(x)) for x in t])
+    assert np.all(np.abs(ts - t) < 1e-14)
 
 
 def test_unfold_values():
