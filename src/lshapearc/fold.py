@@ -13,9 +13,10 @@ J(-t) = -J(t).
 
 Both directions solve one cubic in closed form (`_sister`): the fold
 `fold_closed_form` as it stands, and the inverse `unfold` with one
-Newton step near pi.  Only the reference solver `fold_oracle` uses
-scipy (`brentq`), and it imports it when called, so the closed form,
-`unfold` and everything built on them load no scipy.
+Newton step near pi.  The reference solver `fold_oracle` shares no code
+with `_sister`: it bisects the defining relation, written without
+cancellation in the distance from pi.  Every function here takes a
+scalar or an array and returns the same kind, and needs numpy alone.
 """
 
 import numpy as np
@@ -54,59 +55,83 @@ def _check_range(t, lo, hi, what):
         raise ValueError(f"{what} must lie in [{lo:.6f}, {hi:.6f}]")
 
 
+def _fold_by(solve, t):
+    """solve(|t|) with the range check, float pi -> 0 and oddness; scalar or array in, same kind out."""
+    t = np.asarray(t, dtype=float)
+    _check_range(np.abs(t), CORNER_ANGLE, np.pi, "|t|")
+    ta = np.atleast_1d(np.clip(np.abs(t), CORNER_ANGLE, np.pi))
+    out = np.where(ta == np.pi, 0.0, solve(ta)).reshape(t.shape)
+    out = np.where(t < 0, -out, out)
+    return float(out) if out.ndim == 0 else out
+
+
 def fold_closed_form(t):
     """Fold angle J(t) by the closed-form solution of the cubic.
 
     Accepts a scalar or array with |t| in [2pi/3, pi]; negative t folds
     by oddness.  Float pi stands for exact pi and folds to 0.
     """
-    t = np.asarray(t, dtype=float)
-    _check_range(np.abs(t), CORNER_ANGLE, np.pi, "|t|")
-    ta = np.atleast_1d(np.clip(np.abs(t), CORNER_ANGLE, np.pi))
-    out = np.where(ta == np.pi, 0.0, _sister(ta)).reshape(t.shape)
-    out = np.where(t < 0, -out, out)
-    return float(out) if out.ndim == 0 else out
+    return _fold_by(_sister, t)
 
 
-def fold_oracle(t: float) -> float:
-    """Fold angle by bracketed root finding on the defining relation.
+_PI_LO = 1.2246467991473532e-16  # pi - float(pi), the part of exact pi that float pi drops
+
+
+def fold_oracle(t):
+    """Fold angle by bisection of the defining relation; scalar or array in, same kind out.
 
     Independent of the closed form; serves as its correctness oracle.
+    With eps = pi - t, the relation divided by its trivial factor
+    2 sin((j - t)/2) reads
+
+        r(j) = 2 cos(j/2) sin(eps/2) - 2 sin^2((j - eps)/2) sin((j + eps)/2),
+
+    a difference of two products, so nothing cancels before the root; its
+    root is simple even at 2pi/3, where the profile is quadratically flat.
+    r(0) > 0 > r(2pi/3) inside the interval, and the bracket [0, 2pi/3]
+    is halved until its midpoint equals an end, so the root is found to
+    the ulp.  eps is formed as (pi - t) + `_PI_LO`: float pi - t is
+    exact, but exact pi is 1.2e-16 more, and since J grows as eps^(1/3)
+    near pi, dropping that 1.2e-16 would move J by 1e-6 at the float
+    below pi.  Float pi itself stands for exact pi and folds to 0, and a
+    t where r(2pi/3) >= 0 (the corner, up to rounding) folds to 2pi/3.
+    Negative t folds by oddness.
     """
-    from scipy.optimize import brentq
+    return _fold_by(_bisect, t)
 
-    _check_range(np.asarray(abs(t)), CORNER_ANGLE, np.pi, "|t|")
-    sign = -1.0 if t < 0 else 1.0
-    ta = min(max(abs(t), CORNER_ANGLE), np.pi)
-    if ta == np.pi:
-        # the stored float stands for exact pi, where the fold vanishes;
-        # sin(float(pi)) is rounding noise, not signal
-        return 0.0
 
-    # the defining relation divided by its trivial factor 2 sin((j - t)/2):
-    # its root is simple at 2pi/3, where the profile is quadratically flat
+def _bisect(ta):
+    """The root of `fold_oracle`'s r in [0, 2pi/3] for each ta in [2pi/3, pi] (an array)."""
+    eps = (np.pi - ta) + _PI_LO
+
     def reduced(j):
-        return np.cos((j + ta) / 2.0) - np.cos(j + ta) * np.cos((j - ta) / 2.0)
+        return 2.0 * np.cos(j / 2.0) * np.sin(eps / 2.0) - 2.0 * np.sin((j - eps) / 2.0) ** 2 * np.sin((j + eps) / 2.0)
 
-    if reduced(CORNER_ANGLE) >= 0.0:  # t at the corner, up to rounding
-        return sign * CORNER_ANGLE
-    return sign * brentq(reduced, 0.0, CORNER_ANGLE, xtol=1e-14)
+    lo, hi = np.zeros_like(ta), np.full_like(ta, CORNER_ANGLE)
+    while True:
+        mid = (lo + hi) / 2.0
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        above = reduced(mid) > 0.0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return np.where(reduced(np.full_like(ta, CORNER_ANGLE)) >= 0.0, CORNER_ANGLE, mid)
 
 
-def fold_prime(t: float) -> float:
-    """Derivative J'(t) = (cos t - cos 2t) / (cos J - cos 2J).
+def fold_prime(t):
+    """Derivative J'(t) = (cos t - cos 2t) / (cos J - cos 2J); scalar or array in, same kind out.
 
     Equals -1 at t = 2pi/3 and diverges to -inf at t = pi (returned as
     -inf); strictly below -1 in between.
     """
-    _check_range(np.asarray(t), CORNER_ANGLE, np.pi, "t")
-    t = min(max(t, CORNER_ANGLE), np.pi)
-    if abs(t - CORNER_ANGLE) < 1e-15:
-        return -1.0
-    if abs(t - np.pi) < 1e-15:
-        return -np.inf
-    j = fold_closed_form(t)
-    return (np.cos(t) - np.cos(2.0 * t)) / (np.cos(j) - np.cos(2.0 * j))
+    t = np.asarray(t, dtype=float)
+    _check_range(t, CORNER_ANGLE, np.pi, "t")
+    tc = np.clip(t, CORNER_ANGLE, np.pi)
+    j = fold_closed_form(tc)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 and -2/0 at the ends, replaced below
+        out = (np.cos(tc) - np.cos(2.0 * tc)) / (np.cos(j) - np.cos(2.0 * j))
+    out = np.where(np.abs(tc - CORNER_ANGLE) < 1e-15, -1.0, out)
+    out = np.where(np.abs(tc - np.pi) < 1e-15, -np.inf, out)
+    return float(out) if out.ndim == 0 else out
 
 
 def unfold(j):

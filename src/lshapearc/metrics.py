@@ -341,12 +341,15 @@ def _level_scan(points, curve: LevelCurve):
     samples from the middle one on, and each earlier sample but -pi the
     exact negative of its twin, tg[N - i] == -tg[i], so that the pair
     kernel evaluates one row of each conjugate pair of level points and
-    copies the other.
+    copies the other.  Those earlier points are taken as the exact
+    conjugates of their twins' points, which `level_point` gives them
+    anyway, so the map runs only at -pi and from the middle on.
     """
     tg = np.linspace(-np.pi, np.pi, 64 * (curve.n + 1), endpoint=False)
     mid = len(tg) // 2
     tg[1:mid] = -tg[:mid:-1]
-    return tg, log_abs_omega(points, level_point(curve, tg))
+    upper = level_point(curve, tg[mid:])
+    return tg, log_abs_omega(points, np.concatenate([level_point(curve, tg[:1]), upper[:0:-1].conj(), upper]))
 
 
 def _level_min_angle(points, curve: LevelCurve) -> float:

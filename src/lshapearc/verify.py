@@ -78,7 +78,7 @@ def _check_fold_residual():
 def _check_fold_vs_oracle():
     ends = np.geomspace(1e-12, 1e-2, 100)  # toward both ends, where the defining relation is flat
     t = np.concatenate([np.linspace(CORNER_ANGLE, np.pi, 10_000), CORNER_ANGLE + ends, np.pi - ends])
-    err = max(abs(fold.fold_closed_form(ti) - fold.fold_oracle(ti)) for ti in t)
+    err = np.max(np.abs(fold.fold_closed_form(t) - fold.fold_oracle(t)))
     return err < 1e-10, f"max closed-form vs oracle gap {err:.2e}"
 
 
@@ -105,7 +105,7 @@ def _check_fold_conformal():
 def _check_fold_prime():
     a, b = CORNER_ANGLE + 1e-3, np.pi - 1e-3
     t = np.concatenate([np.linspace(a, b, 10_000), np.linspace(a, b, 2000)])  # the latter is criterion 02's grid
-    vals = np.array([fold.fold_prime(ti) for ti in t])
+    vals = fold.fold_prime(t)
     ok = bool(np.all(vals < -1.0))
     return ok, f"max J' = {vals.max():.6f}" if ok else f"J' reached {vals.max():.6f}"
 

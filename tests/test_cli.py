@@ -372,8 +372,9 @@ def test_cli_entrypoint_runs():
 
 
 def test_commands_without_quadrature_load_no_scipy(tmp_path):
-    # scipy costs most of a cold start; only the fold oracle of verify may load it.
-    # multiprocessing and hashlib load only with --jobs above 1 and with a cache
+    # scipy costs most of a cold start, and no command loads it, verify included.
+    # multiprocessing and hashlib load only with --jobs above 1 and with a cache;
+    # verify's seeded draws load numpy.random, which loads hashlib, so it runs last
     fit_in = tmp_path / "fit.csv"
     fit_in.write_text("n,R\n16,3.0\n32,3.9\n64,5.1\n128,6.6\n")
     code = (
@@ -386,11 +387,14 @@ def test_commands_without_quadrature_load_no_scipy(tmp_path):
         "    assert lshapearc.cli.main(argv + ['--out', d + '/' + argv[0] + '.out']) == 0\n"
         "lshapearc.mz_ratio_worst(16, 4.0, [0, 3])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing', 'hashlib')))\n"
+        "assert lshapearc.cli.main(['verify', '--out', d + '/verify.out']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = {k: v for k, v in _ENV.items() if k != cli.CACHE_ENV_VAR}
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "[]"]
     assert json.loads((tmp_path / "fit.out").read_text())["model"] == "power_law"
     assert (tmp_path / "lebesgue.out").read_text().splitlines()[1].startswith("16,adjusted,")
     assert (tmp_path / "mzratio.out").read_text().splitlines()[1].startswith("16,2,")
+    assert (tmp_path / "verify.out").read_text().splitlines()[-1] == "21/21 invariant checks passed"

@@ -34,17 +34,20 @@ def test_oracle_against_mpmath():
     # pi - t in [1e-7, 1e-4], where cos^2(t/2) formed as 1 - sin^2(t/2)
     # cancels, and at 1e-4..1e-2 above the corner, where a Newton step on
     # the flat profile amplifies rounding (2.095479478555677 is a raw
-    # n = 6759 angle there); j toward both ends of [0, 2pi/3], at 1e-4..1e-2
-    # below the corner, and at the unfold targets of adjusted families,
-    # which crowd toward the corner
+    # n = 6759 angle there), and pi - 8.1e-12, where a bracketing solver
+    # stopped at xtol 1e-14 was off by 4.7e-13; j toward both ends of
+    # [0, 2pi/3], at 1e-4..1e-2 below the corner, and at the unfold targets
+    # of adjusted families, which crowd toward the corner
     ends = np.geomspace(1e-15, 0.5, 49)
     pi_side = np.pi - np.geomspace(1e-7, 1e-4, 100)
     corner_side = np.geomspace(1e-4, 1e-2, 50)
     ts = np.concatenate([[CORNER_ANGLE], CORNER_ANGLE + ends, np.pi - ends, [np.nextafter(np.pi, 0.0)], pi_side,
-                         CORNER_ANGLE + corner_side, [2.095479478555677]])
-    for t in ts:
+                         CORNER_ANGLE + corner_side, [2.095479478555677, np.pi - 8.1e-12]])
+    oracle = fold_oracle(ts)
+    for t, jo in zip(ts, oracle):
         ref = _mp_sister(t, fold_closed_form(t))
-        assert abs(fold_oracle(t) - ref) < 1e-11, t
+        assert jo == fold_oracle(t) and fold_oracle(-t) == -jo
+        assert abs(jo - ref) < 1e-14, t
         assert abs(fold_closed_form(t) - ref) < 1e-14, t
     assert fold_oracle(np.pi) == 0.0  # float pi stands for exact pi
     fams = [build_adjusted(n) for n in (32, 1000, 3826, 7804)]
@@ -91,6 +94,10 @@ def test_fold_prime_endpoints():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert fold_prime(np.pi + 5e-10) == -np.inf
+        # an array keeps the end rules, and each value is that of its scalar call
+        t = np.array([CORNER_ANGLE, 0.8 * np.pi, np.pi, 0.9 * np.pi])
+        assert np.array_equal(fold_prime(t), [fold_prime(x) for x in t])
+        assert fold_prime(t.reshape(2, 2)).shape == (2, 2)
 
 
 def test_fold_prime_bound_and_fd():

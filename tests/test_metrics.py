@@ -207,7 +207,8 @@ def test_level_max_grid_sample_wins_a_tie(n):
 
 
 def test_level_scan_grid_is_mirror_symmetric(monkeypatch):
-    monkeypatch.setattr(metrics, "log_abs_omega", lambda pts, zs: np.zeros(len(zs)))  # the grid alone
+    passed = []  # the points the scan hands the kernel; the grid alone, no kernel
+    monkeypatch.setattr(metrics, "log_abs_omega", lambda pts, zs: passed.append(zs) or np.zeros(len(zs)))
     for n in list(range(301)) + [2 ** k for k in range(9, 13)]:
         curve = LevelCurve(n)
         tg, _ = metrics._level_scan(None, curve)
@@ -218,6 +219,7 @@ def test_level_scan_grid_is_mirror_symmetric(monkeypatch):
         assert tg[0] == -np.pi and np.array_equal(tg[1:mid], -tg[:mid:-1])
         zs = level_point(curve, tg)
         assert np.array_equal(zs[1:mid], zs[:mid:-1].conj())
+        assert np.array_equal(passed.pop(), zs)  # the scan's conjugated points are level_point's own
 
 
 def _linspace_ratio_index(n, family):
