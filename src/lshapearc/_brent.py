@@ -11,8 +11,10 @@ returns the same x, fun and nfev, bit for bit; tests/test_brent.py
 checks that against scipy.  Given several brackets, `minimize_bounded`
 runs one search per bracket in lockstep: each step evaluates the next
 point of every live search in one call of func, and each search sees
-the values it would see alone.  The port keeps scipy.optimize off the
-import path of the Lebesgue, level-curve and power-fit computations.
+the values it would see alone.  One bracket runs as a lockstep of one,
+whose func is called with the point itself.  The port keeps
+scipy.optimize off the import path of the Lebesgue, level-curve and
+power-fit computations.
 """
 
 from collections import namedtuple
@@ -47,18 +49,13 @@ def minimize_bounded(func, bounds, xatol=1e-5):
             raise ValueError("Optimization bounds must be finite scalars.")
         if a > b:
             raise ValueError("The lower bound exceeds the upper bound.")
+    # one bracket runs as a lockstep of one, whose func sees the point itself
+    call = (lambda xs: func(np.array(xs))) if lockstep else (lambda xs: [func(xs[0])])
     searches = [_search(a, b, xatol) for a, b in pairs]
     xs = [next(s) for s in searches]
-    if not lockstep:
-        (search,), (x,) = searches, xs
-        try:
-            while True:
-                x = search.send(func(x))
-        except StopIteration as stop:
-            return stop.value
     runs, live = [None] * len(searches), list(range(len(searches)))
     while live:
-        fs, still = func(np.array([xs[i] for i in live])), []
+        fs, still = call([xs[i] for i in live]), []
         for i, fx in zip(live, fs):
             try:
                 xs[i] = searches[i].send(fx)
@@ -66,7 +63,7 @@ def minimize_bounded(func, bounds, xatol=1e-5):
             except StopIteration as stop:
                 runs[i] = stop.value
         live = still
-    return Lockstep(tuple(runs), sum(r.nfev for r in runs))
+    return Lockstep(tuple(runs), sum(r.nfev for r in runs)) if lockstep else runs[0]
 
 
 def _search(a, b, xatol):

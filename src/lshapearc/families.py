@@ -74,8 +74,7 @@ def _fold_angles(angles: np.ndarray) -> np.ndarray:
     """Folded representative of each circle angle."""
     folded = angles.copy()
     outer = np.abs(angles) > CORNER_ANGLE + _CLASSIFY_TOL
-    if np.any(outer):
-        folded[outer] = fold_closed_form(angles[outer])
+    folded[outer] = fold_closed_form(angles[outer])
     return folded
 
 

@@ -157,12 +157,16 @@ def unfold(j):
     return float(t) if t.ndim == 0 else t
 
 
-def fold_sister(t: float) -> float:
+def fold_sister(t):
     """The other unit-circle angle mapping to the same arc point.
 
-    Folds angles beyond the endpoint preimage and unfolds those inside;
-    fixed points are t = +-2pi/3.
+    Folds angles with |t| >= 2pi/3 and unfolds those inside; fixed
+    points are t = +-2pi/3.  Scalar or array in, same kind out.
     """
-    if abs(t) >= CORNER_ANGLE:
-        return fold_closed_form(t)
-    return unfold(t)
+    t = np.asarray(t, dtype=float)
+    ta = np.atleast_1d(t)
+    outer = np.abs(ta) >= CORNER_ANGLE
+    out = np.empty_like(ta)
+    out[outer], out[~outer] = fold_closed_form(ta[outer]), unfold(ta[~outer])
+    out = out.reshape(t.shape)
+    return float(out) if out.ndim == 0 else out

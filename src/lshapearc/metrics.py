@@ -563,7 +563,7 @@ def _mz_ratios(n: int, p: float, ks, quad_tol: float, fam: NodeFamily) -> list:
     totals, points = quad(func, breaks, quad_tol)
     totals *= ENDPOINT_RADIUS  # |dz| = 27^(1/4) ds on each segment
     curve, ts = LevelCurve(n), fam.angles[ks]
-    dists = dist_to_level(fam.points[ks], curve, [[t, fold_sister(t)] for t in ts.tolist()])
+    dists = dist_to_level(fam.points[ks], curve, np.column_stack([ts, fold_sister(ts)]))
     return [MetricRecord("mz_ratio", n, fam.kind, float(total / d), p=p, location=k,
                          settings={"integral": float(total), "dist": float(d), "quad_tol": quad_tol,
                                    "quad_points": int(count), "rho_convention": curve.convention})

@@ -30,6 +30,7 @@ or of zs[0]) and copies each twin row from its partner, column by
 column; a row whose partner is not its exact conjugate is evaluated.
 The copied row holds the values direct evaluation gives, and the same
 reduction sums it in the same order, so the result keeps its bits.
+Every other call runs the same task with no twin rows.
 """
 
 import os
@@ -76,9 +77,11 @@ def _pair_logs(zs, pts, reduce) -> np.ndarray:
     overwrite ld) and released inside one task, so each thread holds at
     most one block of _CHUNK_CELLS cells.  The result has one entry, or
     one row of K, per point of zs.  A failure raises from the first
-    failing row.  A call of more than one block on conjugate-symmetric
-    nodes copies twin rows (module docstring): a task then holds half a
-    block of evaluated rows and their twins.
+    failing row.  One task serves every call: on conjugate-symmetric
+    nodes a call of more than one block copies twin rows (module
+    docstring), and a task holds half a block of evaluated rows and
+    their twins; any other call is that task with no twins, one whole
+    block of evaluated rows per task.
     """
     chunk = max(1, _CHUNK_CELLS // max(1, len(pts)))
     out = None
@@ -98,50 +101,42 @@ def _pair_logs(zs, pts, reduce) -> np.ndarray:
         np.log(np.abs(c, out=d[: len(z)]), out=d[: len(z)])
         return d
 
-    def block(i0):
-        rows = slice(i0, i0 + chunk)
-        # errstate is context-local: each worker thread enters its own
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ld = logs(zs[rows])  # held until stored: the result, allocated by the first store, fills the hole of c
-            store(rows, reduce(ld, rows))
-
-    task, starts = block, range(0, len(zs), chunk)
-    kp = _twin_start(pts) if len(starts) > 1 else None
+    m = len(zs)
+    kp = _twin_start(pts) if m > chunk else None
     # every node has its exact twin, checked before zs is read
     symmetric = kp is not None and (kp == 0 or pts[0].imag == 0) and np.array_equal(pts[kp:][::-1], pts[kp:].conj())
     kz = _twin_start(zs) if symmetric else None
-    if kz is not None:
-        # row kz + j pairs with row m-1-j for j < h; rows 0..p-1 are evaluated, rows p..m-1 are twins
-        m = len(zs)
-        h = (m - kz) // 2
-        p = m - h
-        half = max(1, chunk // 2)
+    # row kz + j pairs with row m-1-j for j < h; rows 0..p-1 are evaluated, rows p..m-1 are twins;
+    # a call without twins has h = 0 and steps of whole blocks
+    kz, h, step = (0, 0, chunk) if kz is None else (kz, (m - kz) // 2, max(1, chunk // 2))
+    p = m - h
 
-        def twin_block(a):
-            """Evaluate rows a..b-1, copy the twins of those in kz..kz+h-1, and reduce both; a failure
-            of the twins is returned, not raised, as their rows come after every evaluated row."""
-            b = min(a + half, p)
-            lo, hi = max(a, kz), min(b, kz + h)
-            twins = slice(m - hi + kz, m - lo + kz)  # ascending: the twins of rows hi-1 down to lo
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                # the twins share the array of the evaluated rows, so that a task allocates what a
-                # plain block does, the complex differences and then one array of a block's size
-                d = logs(zs[a:b], spare=hi - lo)
-                ld, tw = d[: b - a], d[b - a :]
-                if hi > lo:
-                    src = ld[lo - a : hi - a][::-1]
-                    tw[:, :kp], tw[:, kp:] = src[:, :kp], src[:, kp:][:, ::-1]
-                    odd = np.flatnonzero(zs[twins] != zs[lo:hi][::-1].conj())
-                    if len(odd):  # not an exact twin: evaluated
-                        tw[odd] = logs(zs[twins][odd])
-                store(slice(a, b), reduce(ld, slice(a, b)))
-                if hi > lo:
-                    try:
-                        store(twins, reduce(tw, twins))
-                    except Exception as e:
-                        return e
+    def task(a):
+        """Evaluate rows a..b-1, copy the twins of those in kz..kz+h-1, and reduce both; a failure
+        of the twins is returned, not raised, as their rows come after every evaluated row."""
+        b = min(a + step, p)
+        lo, hi = max(a, kz), max(a, kz, min(b, kz + h))
+        twins = slice(m - hi + kz, m - lo + kz)  # ascending: the twins of rows hi-1 down to lo
+        # errstate is context-local: each worker thread enters its own
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the twins share one array with the evaluated rows, allocated after the complex differences;
+            # it is held until stored, so the result, allocated by the first store, fills the hole of those
+            d = logs(zs[a:b], spare=hi - lo)
+            ld, tw = d[: b - a], d[b - a :]
+            if hi > lo:
+                src = ld[lo - a : hi - a][::-1]
+                tw[:, :kp], tw[:, kp:] = src[:, :kp], src[:, kp:][:, ::-1]
+                odd = np.flatnonzero(zs[twins] != zs[lo:hi][::-1].conj())
+                if len(odd):  # not an exact twin: evaluated
+                    tw[odd] = logs(zs[twins][odd])
+            store(slice(a, b), reduce(ld, slice(a, b)))
+            if hi > lo:
+                try:
+                    store(twins, reduce(tw, twins))
+                except Exception as e:
+                    return e
 
-        task, starts = twin_block, range(0, p, half)
+    starts = range(0, p, step)
     # read every result, so that a failure raises here; a call of one block runs inline
     failed = [e for e in (_pool.map(task, starts) if len(starts) > 1 else map(task, starts)) if e is not None]
     if failed:

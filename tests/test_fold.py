@@ -131,3 +131,11 @@ def test_fold_sister():
     j = 0.4
     assert fold_sister(j) == unfold(j)
     assert abs(fold_sister(fold_sister(0.4)) - 0.4) < 1e-10
+
+
+def test_fold_sister_of_an_array_is_its_scalar_calls():
+    rng = np.random.default_rng(20221020)
+    t = np.concatenate([[CORNER_ANGLE, -CORNER_ANGLE, 0.0, np.pi, -np.pi], rng.uniform(-np.pi, np.pi, 200)])
+    out = fold_sister(t)
+    assert isinstance(out, np.ndarray) and out.shape == t.shape
+    assert np.array_equal(out, [fold_sister(float(x)) for x in t])

@@ -129,14 +129,21 @@ def _direct(zs, pts, diagonal=False):
 
 
 class _SpyPool:
-    """The kernel's pool, recording the name of each task function it maps."""
+    """The kernel's pool, recording the row starts of the tasks of each call it maps."""
 
-    def __init__(self, names):
-        self.names = names
+    def __init__(self, starts):
+        self.starts = starts
 
     def map(self, fn, items):
-        self.names.append(fn.__name__)
+        self.starts.append(list(items))
         return [fn(i) for i in items]
+
+
+def _twin_starts(zs, pts):
+    """The task starts of a twin call: evaluated rows below p = m - h only, half a block each."""
+    chunk = max(1, nodal._CHUNK_CELLS // len(pts))
+    m, kz = len(zs), nodal._twin_start(zs)
+    return [list(range(0, m - (m - kz) // 2, max(1, chunk // 2)))] if m > chunk else []
 
 
 def _mirrored_scan(n):
@@ -149,21 +156,21 @@ def _mirrored_scan(n):
 
 def test_twin_rows_match_a_direct_loop(monkeypatch):
     # copied twin rows must hold the bits direct evaluation gives
-    names = []
-    monkeypatch.setattr(nodal, "_pool", _SpyPool(names))
+    starts = []
+    monkeypatch.setattr(nodal, "_pool", _SpyPool(starts))
     for cells in (7, 1 << 17):
         monkeypatch.setattr(nodal, "_CHUNK_CELLS", cells)
         for n in list(range(65)) + [255, 256, 1025]:
             for fam in (build_raw(n), build_adjusted(n)):
-                names.clear()
+                starts.clear()
                 assert np.array_equal(build_derivative_table(fam).logs, _direct(fam.points, fam.points, True))
-                # the twin path serves every call of more than one block
-                assert names == (["twin_block"] if n + 1 > max(1, cells // (n + 1)) else [])
+                # every call of more than one block copies twin rows
+                assert starts == _twin_starts(fam.points, fam.points)
         for n in (0, 1, 16, 17, 255):
             pts, zs = build_raw(n).points, _mirrored_scan(n)
-            names.clear()
+            starts.clear()
             assert np.array_equal(log_abs_omega(pts, zs), _direct(zs, pts))
-            assert names == (["twin_block"] if len(zs) > max(1, cells // (n + 1)) else [])
+            assert starts == _twin_starts(zs, pts)
 
 
 def test_twin_rows_of_the_lebesgue_and_column_reductions(monkeypatch):
@@ -185,24 +192,25 @@ def test_twin_rows_of_the_lebesgue_and_column_reductions(monkeypatch):
 
 
 def test_a_node_off_its_twin_falls_back_and_a_point_off_its_twin_is_evaluated(monkeypatch):
-    names = []
-    monkeypatch.setattr(nodal, "_pool", _SpyPool(names))
+    starts = []
+    monkeypatch.setattr(nodal, "_pool", _SpyPool(starts))
     fam, zs = build_raw(64), _mirrored_scan(64)
+    chunk = nodal._CHUNK_CELLS // len(fam.points)
     for k, moved in ((3, lambda x: complex(np.nextafter(x.real, np.inf), x.imag)),
                      (0, lambda x: complex(x.real, np.nextafter(x.imag, np.inf)))):  # node 0 is its own twin
-        names.clear()
+        starts.clear()
         pts = fam.points.copy()
         pts[k] = moved(pts[k])
         assert np.array_equal(log_abs_omega(pts, zs), _direct(zs, pts))
-        assert names == ["block"]
+        assert starts == [list(range(0, len(zs), chunk))]  # every row evaluated, in whole blocks
     moved = zs.copy()
     r = len(zs) - 5  # the twin of row 5, in the copied half
     moved[r] = complex(np.nextafter(moved[r].real, np.inf), moved[r].imag)
     # a copy of row 5 would give the unmoved point's value
     assert _direct(moved[r : r + 1], fam.points)[0] != _direct(zs[r : r + 1], fam.points)[0]
-    names.clear()
+    starts.clear()
     assert np.array_equal(log_abs_omega(fam, moved), _direct(moved, fam.points))
-    assert names == ["twin_block"]
+    assert starts == _twin_starts(moved, fam.points)
 
 
 def test_duplicate_nodes_in_copied_rows_are_refused_as_before(monkeypatch):
