@@ -1,18 +1,16 @@
-"""Bounded scalar minimisation without scipy.
+"""Bounded scalar minimisation without scipy, in lockstep.
 
 `minimize_bounded` is Brent's golden-section search with parabolic steps
 (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 5),
 ported statement for statement from scipy 1.17.1's
 `scipy.optimize._optimize._minimize_scalar_bounded` into the generator
 `_search`, which yields each point to evaluate where scipy calls func.
-It keeps that code's numpy scalar operations, so for the same function,
-bounds and xatol it evaluates the same points in the same order and
-returns the same x, fun and nfev, bit for bit; tests/test_brent.py
-checks that against scipy.  Given several brackets, `minimize_bounded`
-runs one search per bracket in lockstep: each step evaluates the next
-point of every live search in one call of func, and each search sees
-the values it would see alone.  One bracket runs as a lockstep of one,
-whose func is called with the point itself.  The port keeps
+It keeps that code's numpy scalar operations, so each search evaluates
+the same points in the same order and returns the same x, fun and nfev
+as scipy on the same function, bounds and xatol, bit for bit;
+tests/test_brent.py checks that.  Every call is a lockstep of one search
+per bracket: each step evaluates the next point of every live search in
+one call of func.  One bracket is a lockstep of one.  The port keeps
 scipy.optimize off the import path of the Lebesgue, level-curve and
 power-fit computations.
 """
@@ -32,30 +30,24 @@ _GOLDEN_MEAN = 0.5 * (3.0 - np.sqrt(5.0))
 
 
 def minimize_bounded(func, bounds, xatol=1e-5):
-    """Minimum of func on [a, b] to an absolute tolerance xatol in x.
+    """Minima of func on K brackets (a, b), each to an absolute tolerance xatol in x.
 
-    bounds is one pair (a, b): func takes a point, and the result is a
-    Bounded(x, fun, nfev).  Or it is a sequence of K pairs: the K
-    searches run in lockstep, func takes an array of points, one per
-    live search, and returns their values, and the result is a
-    Lockstep(runs, nfev) with each bracket's Bounded in order.  Brent
-    never evaluates the bounds themselves.  Each search stops after
-    MAXFUN evaluations at the latest, returning the best point found.
+    func takes an array of points, one per live search, and returns their
+    values.  The result is a Lockstep(runs, nfev) with each bracket's
+    Bounded(x, fun, nfev) in order.  Brent never evaluates the bounds
+    themselves.  Each search stops after MAXFUN evaluations at the latest,
+    returning the best point found.
     """
-    lockstep = np.ndim(bounds) == 2
-    pairs = bounds if lockstep else [bounds]
-    for a, b in pairs:
-        if not all(np.size(v) == 1 and np.isfinite(v) for v in (a, b)):
+    for a, b in bounds:
+        if not (np.isfinite(a) and np.isfinite(b)):
             raise ValueError("Optimization bounds must be finite scalars.")
         if a > b:
             raise ValueError("The lower bound exceeds the upper bound.")
-    # one bracket runs as a lockstep of one, whose func sees the point itself
-    call = (lambda xs: func(np.array(xs))) if lockstep else (lambda xs: [func(xs[0])])
-    searches = [_search(a, b, xatol) for a, b in pairs]
+    searches = [_search(a, b, xatol) for a, b in bounds]
     xs = [next(s) for s in searches]
     runs, live = [None] * len(searches), list(range(len(searches)))
     while live:
-        fs, still = call([xs[i] for i in live]), []
+        fs, still = func(np.array([xs[i] for i in live])), []
         for i, fx in zip(live, fs):
             try:
                 xs[i] = searches[i].send(fx)
@@ -63,7 +55,7 @@ def minimize_bounded(func, bounds, xatol=1e-5):
             except StopIteration as stop:
                 runs[i] = stop.value
         live = still
-    return Lockstep(tuple(runs), sum(r.nfev for r in runs)) if lockstep else runs[0]
+    return Lockstep(tuple(runs), sum(r.nfev for r in runs))
 
 
 def _search(a, b, xatol):

@@ -20,47 +20,55 @@ ENDPOINT_RADIUS = 27.0 ** 0.25
 CORNER_ANGLE = 2.0 * np.pi / 3.0
 
 
+def _on_exterior(f):
+    """f, a map of 1-d arrays, on a complex scalar or array w with |w| >= 1.
+
+    w = 0 and |w| < 1 are refused.  A 0-d w is mapped as a one-element
+    array, so a point gets the same bits in any call shape: numpy's scalar
+    complex product rounds differently from its array one.
+    """
+
+    @functools.wraps(f)
+    def mapped(w):
+        w = np.asarray(w, dtype=complex)
+        if (w == 0).any():
+            raise ValueError(f"{f.__name__} is undefined at w = 0")
+        if (np.abs(w) < 1.0 - 1e-9).any():
+            raise ValueError(f"{f.__name__} requires |w| >= 1")
+        out = f(np.atleast_1d(w))
+        return complex(out[0]) if w.ndim == 0 else out
+
+    return mapped
+
+
+@_on_exterior
 def psi(w):
     """Exterior conformal map psi(w) = (w - 1/w) * sqrt((w - 1)/(w + 1)).
 
-    Accepts a complex scalar or array with |w| >= 1 (boundary values are
-    the continuous extension).  The principal square root is used; the
-    product has a removable 0*inf limit at w = -1 where the value is 0.
+    Accepts a complex scalar or array with |w| >= 1 (`_on_exterior`;
+    boundary values are the continuous extension).  The principal square
+    root is used; the product has a removable 0*inf limit at w = -1 where
+    the value is 0.
     """
-    w = np.asarray(w, dtype=complex)
-    if (w == 0).any():
-        raise ValueError("psi is undefined at w = 0")
-    if (np.abs(w) < 1.0 - 1e-9).any():
-        raise ValueError("psi requires |w| >= 1")
     # inputs within machine rounding of -1 (e.g. exp(i*pi)) are snapped
     # to the removable limit: the map is sqrt-sensitive there and the
     # value is below the representable resolution of the preimage anyway
     at_pole = np.abs(w + 1.0) <= 4e-16
     with np.errstate(invalid="ignore", divide="ignore"):
         out = (w - 1.0 / w) * np.sqrt((w - 1.0) / (w + 1.0))
-    out = np.where(at_pole, 0.0 + 0.0j, out)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return np.where(at_pole, 0.0 + 0.0j, out)
 
 
+@_on_exterior
 def psi_prime(w):
     """Analytic derivative psi'(w) = sqrt((w-1)/(w+1)) * (w^2 + w + 1)/w^2.
 
     Vanishes at w = exp(+-i*2pi/3) (the endpoint preimages) and has a
     pole at w = -1.
     """
-    w = np.asarray(w, dtype=complex)
     if (w == -1.0).any():
         raise ValueError("psi_prime has a singularity at w = -1")
-    if (w == 0).any():
-        raise ValueError("psi_prime is undefined at w = 0")
-    if (np.abs(w) < 1.0 - 1e-9).any():
-        raise ValueError("psi_prime requires |w| >= 1")
-    out = np.sqrt((w - 1.0) / (w + 1.0)) * (w * w + w + 1.0) / (w * w)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return np.sqrt((w - 1.0) / (w + 1.0)) * (w * w + w + 1.0) / (w * w)
 
 
 def boundary_point(t):

@@ -74,21 +74,13 @@ class FitResult:
 
 
 def _polish(g, t, v, lo, hi, xatol):
-    """(value, location) of the bounded-Brent minimum of g on [lo, hi], or
-    of the grid sample v = g(t) unless the minimum is strictly below it.
-
-    With arrays t, v, lo and hi of K starts, the K searches run in
-    lockstep (`minimize_scalar` with K brackets): g takes an array of
-    points, one per live search, and the result is a list of K pairs.
-    """
-
-    def pick(res, t, v):
-        return (float(res.fun), float(res.x)) if res.fun < v else (float(v), float(t))
-
-    if np.ndim(t) == 0:
-        return pick(minimize_scalar(g, (lo, hi), xatol=xatol), t, v)
+    """(value, location) for each of K starts, the arrays t, v = g(t), lo
+    and hi: the bounded-Brent minimum of g on [lo, hi], or the grid sample
+    unless that minimum is strictly below it.  The K searches run in
+    lockstep (`minimize_scalar`): g takes an array of points, one per live
+    search."""
     runs = minimize_scalar(g, np.column_stack([lo, hi]), xatol=xatol).runs
-    return [pick(*run) for run in zip(runs, t, v)]
+    return [(float(r.fun), float(r.x)) if r.fun < vk else (float(vk), float(tk)) for r, tk, vk in zip(runs, t, v)]
 
 
 def _arc_samples(f: NodeFamily, grid_per_gap: int):
@@ -366,21 +358,21 @@ def _level_min_angle(points, curve: LevelCurve) -> float:
 def level_minmax(n: int, convention: str = "one_over_n_plus_1"):
     """Min and max of the raw-family nodal magnitude over the level curve.
 
-    Uniform angle sampling, then `_polish` at both extremal samples.
-    Returns a (min_record, max_record) pair.
+    Uniform angle sampling, then `_polish` with one start at each
+    extremal sample.  Returns a (min_record, max_record) pair.
     """
     fam = build_raw(n)
     curve = LevelCurve(n, convention)
     tg, lw = _level_scan(fam.points, curve)
     h = 2.0 * np.pi / len(tg)
 
-    imin, imax = int(np.argmin(lw)), int(np.argmax(lw))
+    def polish(sign, i):  # one start, at the scan sample i, on sign * log|omega|
+        t = tg[i : i + 1]
+        return _polish(lambda ts: sign * log_abs_omega(fam.points, level_point(curve, ts)),
+                       t, sign * lw[i : i + 1], t - h, t + h, 1e-12)[0]
 
-    def log_omega(t):
-        return log_abs_omega(fam.points, complex(level_point(curve, t)))
-
-    lw_min, t_min = _polish(log_omega, tg[imin], lw[imin], tg[imin] - h, tg[imin] + h, 1e-12)
-    neg_max, t_max = _polish(lambda t: -log_omega(t), tg[imax], -lw[imax], tg[imax] - h, tg[imax] + h, 1e-12)
+    lw_min, t_min = polish(1.0, np.argmin(lw))
+    neg_max, t_max = polish(-1.0, np.argmax(lw))
     settings = {"samples": len(tg), "rho_convention": convention}
     rec_min = MetricRecord("level_min", n, fam.kind, float(np.exp(lw_min)), location=t_min, settings=settings)
     rec_max = MetricRecord("level_max", n, fam.kind, float(np.exp(-neg_max)), location=t_max, settings=settings)
@@ -413,6 +405,8 @@ def muckenhoupt_constant(n: int, ps, window_max: int = None) -> list:
     ps = list(ps)
     if not ps or not all(1 < p < np.inf for p in ps):
         raise ValueError("need at least one exponent, each finite and exceeding 1")
+    if window_max is not None and window_max < 0:
+        raise ValueError(f"window_max must be nonnegative, got {window_max}")
     fam = build_raw(n)
     curve = LevelCurve(n)
     t0 = _level_min_angle(fam.points, curve)
@@ -517,6 +511,12 @@ def _check_degree(n: int, family: NodeFamily):
         raise ValueError(f"the family has degree {family.n}, not n = {n}")
 
 
+def _check_index(n: int, k):
+    """Refuse a node index outside 0..n, which numpy would wrap or reject."""
+    if not 0 <= k <= n:
+        raise ValueError(f"node index k = {k} is outside 0..{n}")
+
+
 def choose_ratio_index(n: int, family: NodeFamily) -> int:
     """Node index nearest the level-curve minimum of the nodal magnitude,
     at the level-scan minimum t0 (`_level_min_angle`), the A_p window centre."""
@@ -557,8 +557,7 @@ def _mz_ratios(n: int, p: float, ks, quad_tol: float, fam: NodeFamily) -> list:
     if not 1 < p < np.inf:
         raise ValueError("p must be finite and exceed 1")
     for k in ks:
-        if not 0 <= k <= n:
-            raise ValueError(f"node index k = {k} is outside 0..{n}")
+        _check_index(n, k)
     func, breaks = _basis_powers(fam, p, ks)
     totals, points = quad(func, breaks, quad_tol)
     totals *= ENDPOINT_RADIUS  # |dz| = 27^(1/4) ds on each segment
@@ -611,8 +610,9 @@ def separation_ok(n: int, family: NodeFamily, k: int) -> bool:
     drown any growth-law fit; sweeps filter on this predicate.
     """
     _check_degree(n, family)
+    _check_index(n, k)
     gaps = np.abs(np.delete(family.folded, k) - family.folded[k])
-    return (n + 1) * gaps.min(initial=np.inf) >= 2.0 * np.pi / 3.0 - 1e-9  # a lone node has no neighbour
+    return bool((n + 1) * gaps.min(initial=np.inf) >= 2.0 * np.pi / 3.0 - 1e-9)  # a lone node has no neighbour
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +656,7 @@ def fit_growth(records, model: str) -> FitResult:
             r = _affine_lstsq(ns**beta, vals)[1]
             return float(r @ r)
 
-        res = minimize_scalar(sse, (0.05, 2.0), xatol=1e-6)
-        beta = float(res.x)
+        beta = float(minimize_scalar(lambda bs: [sse(b) for b in bs], [(0.05, 2.0)], xatol=1e-6).runs[0].x)
         x, y = ns**beta, vals
     else:
         raise ValueError(f"unknown model {model!r}")

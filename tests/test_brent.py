@@ -3,8 +3,9 @@
 `_brent.minimize_bounded` is a port of scipy's bounded Brent; scipy stays
 the independent reference.  Equal means `==` on x, fun and nfev, and the
 same evaluation points in the same order, on a seeded set of functions
-and at the two call sites of the program.  A lockstep call with several
-brackets gives each bracket the run it gets alone.
+and at the two call sites of the program.  Every call of the port is a
+lockstep; one bracket runs as a lockstep of one (`_alone`), and a call
+with several brackets gives each bracket the run it gets alone.
 """
 
 import numpy as np
@@ -15,10 +16,15 @@ from lshapearc import _brent, metrics
 from lshapearc.families import build_adjusted
 
 
+def _alone(func, bounds, xatol):
+    """The port's Bounded on one bracket, as a lockstep of one, through a scalar func."""
+    return _brent.minimize_bounded(lambda xs: [func(x) for x in xs], [bounds], xatol=xatol).runs[0]
+
+
 def _both(func, bounds, xatol):
     """(result, evaluation points) of the port and of scipy on the same problem."""
     runs = []
-    for solve in (lambda g: _brent.minimize_bounded(g, bounds, xatol=xatol),
+    for solve in (lambda g: _alone(g, bounds, xatol),
                   lambda g: scipy_minimize_scalar(g, bounds=bounds, method="bounded", options={"xatol": xatol})):
         seen = []
 
@@ -78,9 +84,9 @@ def test_matches_scipy_bitwise(name, func, bounds, xatol):
 
 def test_refuses_bad_bounds():
     with pytest.raises(ValueError, match="finite"):
-        _brent.minimize_bounded(abs, (0.0, np.inf))
+        _alone(abs, (0.0, np.inf), 1e-5)
     with pytest.raises(ValueError, match="exceeds"):
-        _brent.minimize_bounded(abs, (1.0, 0.0))
+        _alone(abs, (1.0, 0.0), 1e-5)
     with pytest.raises(ValueError, match="exceeds"):  # any bracket of a lockstep call
         _brent.minimize_bounded(np.abs, [(0.0, 1.0), (1.0, 0.0)])
 
@@ -88,16 +94,14 @@ def test_refuses_bad_bounds():
 def _checking(monkeypatch, module, name):
     """Replace module.name by a minimiser that runs the port and scipy on every call and compares them.
 
-    A lockstep call (several brackets, func taking an array of points) is
-    compared bracket by bracket through a scalar view of func: each run's
-    x, fun and nfev are `==` to those of the port alone, which matches scipy.
+    Every call is a lockstep (func taking an array of points), compared
+    bracket by bracket through a scalar view of func: each run's x, fun
+    and nfev are `==` to those of the port alone, which matches scipy.
     """
     calls = []
 
     def checked(func, bounds, xatol):
         calls.append(bounds)
-        if np.ndim(bounds) < 2:
-            return _assert_same(func, bounds, xatol)
         res = _brent.minimize_bounded(func, bounds, xatol)
         for run, pair in zip(res.runs, bounds, strict=True):
             alone = _assert_same(lambda x: func(np.array([x]))[0], tuple(pair), xatol)
@@ -125,7 +129,7 @@ def test_lockstep_runs_each_bracket_as_alone():
     res = _brent.minimize_bounded(batch, brackets, xatol=1e-9)
     assert len(res.runs) == len(brackets)
     for pair, run in zip(brackets, res.runs):
-        alone = _brent.minimize_bounded(g, pair, xatol=1e-9)
+        alone = _alone(g, pair, 1e-9)
         assert (run.x, run.fun, run.nfev) == (alone.x, alone.fun, alone.nfev), pair
     # one call per step, each with one point per live search
     assert res.nfev == sum(run.nfev for run in res.runs) == sum(sizes)
@@ -148,4 +152,4 @@ def test_power_fit_matches_scipy(monkeypatch):
     want = metrics.fit_growth(records, "power_law")
     calls = _checking(monkeypatch, metrics, "minimize_scalar")
     assert metrics.fit_growth(records, "power_law") == want
-    assert calls == [(0.05, 2.0)]
+    assert calls == [[(0.05, 2.0)]]

@@ -13,7 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lshapearc.conformal import CORNER_ANGLE, LevelCurve, arm_point, boundary_point, level_point
+from lshapearc.conformal import CORNER_ANGLE, LevelCurve, arm_point, boundary_point, level_point, psi_prime
 from lshapearc.families import build_adjusted, build_raw, theta_grid
 from lshapearc.metrics import _arm_angle, lower_bound_witness, mz_ratio
 from lshapearc.nodal import (
@@ -167,23 +167,36 @@ def test_arccos_of_lebesgue_function_is_szego_lipschitz_in_theta(kind):
         assert np.all(np.abs(phi[i] - phi[j]) <= n * np.abs(theta[i] - theta[j]) + slop), n
 
 
+def _assert_bits_do_not_depend_on_the_call_shape(f, xs, name):
+    """f of each 0-d xs[i], of each one-element slice and of batches of 5 has the bits of f(xs)."""
+    full = f(xs)
+    shapes = {
+        "0-d": [f(x) for x in xs],
+        "1 element": np.concatenate([f(xs[i : i + 1]) for i in range(len(xs))]),
+        "batch of 5": np.concatenate([f(xs[i : i + 5]) for i in range(0, len(xs), 5)]),
+    }
+    for shape, zs in shapes.items():
+        zs = np.asarray(zs)
+        assert np.array_equal(zs.real, full.real) and np.array_equal(zs.imag, full.imag), (name, shape)
+
+
 def test_boundary_point_bits_do_not_depend_on_the_call_shape():
     # the Lebesgue chain evaluates its samples, the corner and the endpoint in
-    # arrays, the lockstep polish its points in batches of five down to one,
-    # and a scalar polish in 0-d calls; all must see the same points, bit for
-    # bit.  (level_point does not have this property off the unit circle.)
+    # arrays, the lockstep polishes their points in batches of five down to
+    # one, and single points are mapped in 0-d calls; all must see the same
+    # points, bit for bit.  So must the level polish, whose searches are
+    # locksteps of one, and the distance search, which maps psi and psi_prime
+    # on the level curve in arrays of any length
     ends = np.geomspace(1e-15, 0.5, 50000)
     ts = np.unique(np.concatenate([[0.0, CORNER_ANGLE], ends, CORNER_ANGLE - ends, np.linspace(0.0, CORNER_ANGLE, 160001)]))
     assert len(ts) >= 250000
-    full = boundary_point(ts)
-    shapes = {
-        "0-d": [boundary_point(t) for t in ts],
-        "1 element": np.concatenate([boundary_point(ts[i : i + 1]) for i in range(len(ts))]),
-        "batch of 5": np.concatenate([boundary_point(ts[i : i + 5]) for i in range(0, len(ts), 5)]),
-    }
-    for name, zs in shapes.items():
-        zs = np.asarray(zs)
-        assert np.array_equal(zs.real, full.real) and np.array_equal(zs.imag, full.imag), name
+    _assert_bits_do_not_depend_on_the_call_shape(boundary_point, ts, "boundary_point")
+    rng = np.random.default_rng(20221021)
+    for n in (16, 256):
+        curve, angles = LevelCurve(n), rng.uniform(-np.pi, np.pi, 5000)
+        _assert_bits_do_not_depend_on_the_call_shape(lambda t: level_point(curve, t), angles, ("level_point", n))
+        ws = curve.rho * np.exp(1j * angles)
+        _assert_bits_do_not_depend_on_the_call_shape(psi_prime, ws, ("psi_prime", n))
 
 
 def test_arm_angle_against_mpmath():

@@ -78,8 +78,8 @@ def test_lebesgue_constant_stays_on_upper_arm(monkeypatch):
 def _dense_lebesgue_constant(f, grid_per_gap):
     """(value, location) of the search before its grid was pruned: every
     upper-arm sample, the five best by np.argsort, and the same polish,
-    one scalar search after another; the corner and the endpoint are
-    candidates, the corner first."""
+    one start after another; the corner and the endpoint are candidates,
+    the corner first."""
     table = build_derivative_table(f)
     ts, h = metrics._arc_samples(f, grid_per_gap)
     ts = ts[ts >= 0.0]
@@ -93,7 +93,8 @@ def _dense_lebesgue_constant(f, grid_per_gap):
         best = (-neg(CORNER_ANGLE), CORNER_ANGLE)
     for i in np.argsort(lam)[::-1][:5]:
         lo, hi = max(ts[i] - 2 * h, 0.0), min(ts[i] + 2 * h, CORNER_ANGLE)
-        v, t = metrics._polish(neg, ts[i], -lam[i], lo, hi, metrics.REFINE_TOL)
+        ((v, t),) = metrics._polish(lambda xs: np.array([neg(x) for x in xs]), ts[i : i + 1], -lam[i : i + 1],
+                                    [lo], [hi], metrics.REFINE_TOL)
         if -v > best[0]:
             best = (-v, t)
     return best
@@ -107,9 +108,6 @@ def test_pruned_lebesgue_search_makes_the_dense_searchs_polish_calls(monkeypatch
     calls, chains, prune = [], [], metrics._pruned_chain
 
     def record(g, t, v, lo, hi, xatol):
-        if np.ndim(t) == 0:
-            calls.append((t, v, lo, hi, xatol))
-            return v, t
         calls.extend((*start, xatol) for start in zip(t, v, lo, hi))
         return list(zip(v, t))
 
@@ -200,7 +198,7 @@ def test_witness_requires_degree():
         lower_bound_witness(4)
 
 
-@pytest.mark.parametrize("n", [1, 5, 7, 33, 69])
+@pytest.mark.parametrize("n", [1, 5, 7, 29, 69])
 def test_level_max_grid_sample_wins_a_tie(n):
     # the polished maximum here only ties the grid sample at angle 0
     assert level_minmax(n)[1].location == 0.0
@@ -250,6 +248,11 @@ def test_muckenhoupt_monotone_in_window_max():
     (small,) = muckenhoupt_constant(16, [2.0], window_max=64)
     (big,) = muckenhoupt_constant(16, [2.0], window_max=512)
     assert big.value >= small.value - 1e-12
+
+
+def test_muckenhoupt_refuses_a_negative_window_max():
+    with pytest.raises(ValueError, match="window_max"):
+        muckenhoupt_constant(16, [2.0], window_max=-3)
 
 
 def _window_sup_loop(n, p, t0, m_max):
@@ -446,6 +449,14 @@ def test_mz_ratio_refuses_a_node_index_out_of_range():
 
 def test_lone_node_is_separated():
     assert separation_ok(0, build_adjusted(0), 0)
+
+
+def test_separation_refuses_an_index_outside_the_nodes():
+    fam = build_adjusted(16)
+    for k in (17, -1):  # numpy would raise IndexError at 17 and answer for node 16 at -1
+        with pytest.raises(ValueError, match=rf"node index k = {k} is outside 0\.\.16"):
+            separation_ok(16, fam, k)
+    assert [type(separation_ok(16, fam, k)) for k in (0, 16)] == [bool, bool]
 
 
 def test_family_of_another_degree_is_refused():
