@@ -5,11 +5,22 @@ Three studies, each printed and written to results/growth_fits.json:
 
 1. The pointwise witness for the log^2 lower bound of the Lebesgue
    constant (raw family, evaluation between the first two nodes).
-2. An affine fit of L_n/log(n) against log(n) for the adjusted family.
+2. An affine fit of L_n/log(n) against log(n) for the adjusted family,
+   and the same fit to each end of the certified brackets [L_n, U].
 3. A power-law fit a + b*n^beta of the p = 2 basis-integral ratio over a
    geometric sweep of even degrees, restricted to degrees whose selected
    node keeps the full folded separation (collisions produce spikes that
    are orders of magnitude off-trend and say nothing about growth).
+
+Keys of growth_fits.json:
+- "witness": per degree n, the witness, its partial sum and witness/log^2 n;
+- "lebesgue": per degree n, "L" = L_n and "bracket" = [L_n, U], U the
+  certified bound on the max that `lebesgue_constant` reports;
+- "affine_fit": a, b and residual_rms of the fit to L_n;
+- "affine_fit_bracket": "b_L" and "b_U", the slope b fitted to the lower
+  ends L_n and to the upper ends U of the brackets;
+- "ratio", "ratio_skipped" and "power_fit": study 3's kept (n, R) pairs,
+  its skipped degrees and its fit.
 """
 
 import argparse
@@ -38,15 +49,17 @@ def witness_study(ks):
 
 
 def lebesgue_study(ks):
-    pairs = []
+    brackets = []
     for k in ks:
         n = 2**k
-        val = L.lebesgue_constant(L.build_adjusted(n)).value
-        pairs.append((n, val))
-        print(f"L_{n} (adjusted) = {val:.6f}  L/log = {val / np.log(n):.6f}")
-    fit = L.fit_growth(pairs, "affine_in_logn")
-    print(f"affine fit: L/log(n) = {fit.b:.4f}*log(n) + {fit.a:.4f}  (rms {fit.residual_rms:.4f})")
-    return pairs, fit
+        lo, hi = L.lebesgue_constant(L.build_adjusted(n)).settings["bracket"]
+        brackets.append((n, lo, hi))
+        print(f"L_{n} (adjusted) = {lo:.6f}  L/log = {lo / np.log(n):.6f}  U/L - 1 = {hi / lo - 1:.2e}")
+    fit = L.fit_growth([(n, lo) for n, lo, _ in brackets], "affine_in_logn")
+    b_upper = L.fit_growth([(n, hi) for n, _, hi in brackets], "affine_in_logn").b
+    print(f"affine fit: L/log(n) = {fit.b:.4f}*log(n) + {fit.a:.4f}  (rms {fit.residual_rms:.4f}); "
+          f"b over the brackets: [{fit.b:.6f}, {b_upper:.6f}]")
+    return brackets, fit, b_upper
 
 
 def ratio_study(n_lo, n_hi, p):
@@ -78,15 +91,16 @@ def run(argv=None):
     args = ap.parse_args(argv)
 
     w = witness_study([int(k) for k in args.witness_ks.split(",")])
-    pairs, affine = lebesgue_study([int(k) for k in args.lebesgue_ks.split(",")])
+    brackets, affine, b_upper = lebesgue_study([int(k) for k in args.lebesgue_ks.split(",")])
     lo, hi = (int(x) for x in args.ratio_range.split(".."))
     kept, skipped, power = ratio_study(lo, hi, args.p)
 
     os.makedirs(args.outdir, exist_ok=True)
     doc = {
         "witness": w,
-        "lebesgue": [{"n": n, "L": v} for n, v in pairs],
+        "lebesgue": [{"n": n, "L": lo, "bracket": [lo, hi]} for n, lo, hi in brackets],
         "affine_fit": {"a": affine.a, "b": affine.b, "residual_rms": affine.residual_rms},
+        "affine_fit_bracket": {"b_L": affine.b, "b_U": b_upper},
         "ratio": [{"n": n, "R": v} for n, v in kept],
         "ratio_skipped": skipped,
         "power_fit": {"a": power.a, "b": power.b, "beta": power.beta,

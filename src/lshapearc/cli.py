@@ -116,8 +116,7 @@ def _build(n, family_kind):
 def _lebesgue_rows(n, family, grid_per_gap):
     rec = lebesgue_constant(_build(n, family), grid_per_gap=grid_per_gap)
     over = rec.value / np.log(n) if n >= 2 else float("nan")
-    return [f"{n},{family},{_fmt(rec.value)},{_fmt(over)},{_fmt(rec.location)},{grid_per_gap},"
-            f"{rec.settings['refine_tol']:g}"]
+    return [f"{n},{family},{_fmt(rec.value)},{_fmt(over)},{_fmt(rec.location)},{grid_per_gap}"]
 
 
 def _minmax_rows(n, rho):
@@ -141,9 +140,9 @@ def _mzratio_rows(n, p, quad_tol):
 # version: the algorithm version in the cache key, bumped whenever the command's numbers may change
 _Sweep = namedtuple("_Sweep", "header value rows options version")
 SWEEPS = {
-    # version 2: max searched on the upper arm, argmax_t in [0, 2pi/3]
-    "lebesgue": _Sweep("n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol", "L_n", _lebesgue_rows,
-                       ("family", "grid_per_gap"), "2"),
+    # version 3: max bracketed by zooming the upper-arm chain, no polish; no refine_tol column
+    "lebesgue": _Sweep("n,family,L_n,L_over_log,argmax_t,grid_per_gap", "L_n", _lebesgue_rows,
+                       ("family", "grid_per_gap"), "3"),
     "minmax": _Sweep("n,rho,min,max,ratio", "ratio", _minmax_rows, ("rho",), "1"),
     # version 3: window centred at |t0|, q-power sums shifted to stay finite
     "apweight": _Sweep("n,p,M_n,step_denom,window_max", "M_n", _apweight_rows, ("p",), "3"),

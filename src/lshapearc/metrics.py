@@ -1,13 +1,12 @@
 """Headline metrics: Lebesgue constants, level-curve extrema, Muckenhoupt
 A_p constants, Marcinkiewicz-Zygmund ratios, and growth-law fits.
 
-No scipy runs here: every polish and the power-law fit use the port of
-scipy's bounded Brent in `_brent`, and `mz_ratio` integrates with the
-panel Gauss-Legendre rule `quad`.  The two keep the module-level names
-`minimize_scalar` and `quad`, and are called through them, because
-bench/tracer.py wraps those names to count polish evaluations and
-integrand calls (until its counters move into the program, ROADMAP
-item 1(b)).
+No scipy runs here: the level polish and the power-law fit use the port
+of scipy's bounded Brent in `_brent`, under the module-level name
+`minimize_scalar`, and `mz_ratio` integrates with the panel
+Gauss-Legendre rule `quad`; bench/tracer.py wraps both names to count
+their evaluations.  The Lebesgue maximum is not polished: its sample
+chain zooms until the maximum is bracketed (`lebesgue_constant`).
 """
 
 import functools
@@ -73,53 +72,49 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _polish(g, t, v, lo, hi, xatol):
-    """(value, location) for each of K starts, the arrays t, v = g(t), lo
-    and hi: the bounded-Brent minimum of g on [lo, hi], or the grid sample
-    unless that minimum is strictly below it.  The K searches run in
-    lockstep (`minimize_scalar`): g takes an array of points, one per live
-    search."""
-    runs = minimize_scalar(g, np.column_stack([lo, hi]), xatol=xatol).runs
-    return [(float(r.fun), float(r.x)) if r.fun < vk else (float(vk), float(tk)) for r, tk, vk in zip(runs, t, v)]
-
-
 def _arc_samples(f: NodeFamily, grid_per_gap: int):
     """grid_per_gap folded angles inside every gap between the nodes and the
-    arc's ends, over the whole arc [-2pi/3, 2pi/3], and their mean step."""
+    arc's ends, over the whole arc [-2pi/3, 2pi/3]."""
     knots = np.unique(np.concatenate([[-CORNER_ANGLE, CORNER_ANGLE], np.sort(f.folded)]))
     gap = np.diff(knots)
     keep = gap >= 1e-14
     frac = np.arange(1, grid_per_gap + 1) / (grid_per_gap + 1.0)
-    ts = (knots[:-1][keep, None] + gap[keep, None] * frac).ravel()
-    return ts, (knots[-1] - knots[0]) / len(ts)
+    return (knots[:-1][keep, None] + gap[keep, None] * frac).ravel()
 
-
-REFINE_TOL = 1e-9  # Brent's tolerance on the angle of a polished Lebesgue maximum
-_POLISH_STARTS = 5  # grid samples polished, the best first
 
 _PRUNE_STRIDES = (16, 8, 4, 2, 1)  # chain points evaluated first, then in each open cell per level
-# relative margin on each bound and on U: covers the rounding of a Lebesgue sample
-# (the kernel's logs, ~n eps, and its point's own rounding, which Markov's inequality
-# amplifies by at most ~2n^2 eps near the arm's end: 3e-8 at n = 8192) and of theta
-_PRUNE_MARGIN = 1e-6
 _PRUNE_SLACK = 0.25  # widest n*delta/2 between neighbouring chain points; wider gaps get extra points
 _NARROW = 0.8  # widest n*delta/2 of a cell that enters U and gets a finite bound
+_ZOOM_TOL = 1e-13  # a cell is zoomed while its bound on the max exceeds the best value by this, relatively
+_ZOOM_PARTS = 8  # pieces of a zoomed cell
 
 
-def _pruned_chain(values, ranked, evaluate, bound, keep):
-    """values of a chain of samples, evaluated only where they may rank among its `keep` largest.
+def _prune_margin(n):
+    """Relative margin on each cell bound and on U at degree n.
+
+    It covers the rounding of a Lebesgue sample: the kernel's logs, ~n eps,
+    and its point's own rounding, which Markov's inequality amplifies by at
+    most ~2n^2 eps near the arm's end, and the rounding of theta.  It is
+    1e-6 up to n = 2^15 (4n^2 eps = 9.5e-7 there), and 4n^2 eps, twice that
+    point rounding, above, where 2n^2 eps alone passes 1e-6 near n = 2^16.
+    """
+    return max(1e-6, 4.0 * n * n * np.finfo(float).eps)
+
+
+def _pruned_chain(values, ranked, evaluate, bound):
+    """values of a chain of samples, evaluated only where they may exceed its largest ranked value.
 
     `values` holds the chain in order, NaN where not yet evaluated, and
     `ranked` marks the points that compete; evaluate(idx) gives the
     values at chain indices idx.  A cell lies between two evaluated
     neighbours a < b, and bound(a, b, va, vb) gives, for each cell, a
     bound on every value inside it.  A cell is open while it has an
-    unevaluated point and its bound reaches the keep-th largest ranked
-    value so far.  The last point and every _PRUNE_STRIDES[0]-th one are
+    unevaluated point and its bound reaches the largest ranked value so
+    far.  The last point and every _PRUNE_STRIDES[0]-th one are
     evaluated first, then, for each further stride s, the next multiple
     of s in each open cell; after the last stride every open cell is
     evaluated whole until none is open, so each point left out is below
-    its final cell's bound, which is below the keep-th largest value.
+    its final cell's bound, which is below the largest ranked value.
     The points left out are -inf in the result.
     """
     known = ~np.isnan(values)
@@ -133,9 +128,8 @@ def _pruned_chain(values, ranked, evaluate, bound, keep):
     def open_cells():
         k = np.flatnonzero(known)
         a, b = k[:-1], k[1:]
-        r = values[ranked & known]
-        floor = np.partition(r, -keep)[-keep] if len(r) >= keep else -np.inf
-        shut = (b - a == 1) | (bound(a, b, values[a], values[b]) < floor)
+        best = np.max(values[ranked & known], initial=-np.inf)
+        shut = (b - a == 1) | (bound(a, b, values[a], values[b]) < best)
         return a[~shut], b[~shut]
 
     run(np.unique(np.r_[0 : len(values) : _PRUNE_STRIDES[0], len(values) - 1]))
@@ -185,7 +179,7 @@ def _arm_chain(n, ts):
     return theta, t, sample
 
 
-def _szego(half, va, vb):
+def _szego(half, va, vb, margin):
     """U, and a bound on the Lebesgue function in each cell of the upper-arm chain.
 
     A cell has half-width half = n delta/2 in theta and the values va, vb
@@ -198,48 +192,45 @@ def _szego(half, va, vb):
     holding the max, one end lies within half of it in arccos(lambda/U),
     so the max is at most max(va, vb)/cos(half) there: U is the max of
     that over the narrow cells, half < _NARROW.  The other cells are
-    bounded by inf.  U and each bound carry a relative margin of
-    _PRUNE_MARGIN for rounding.
+    bounded by inf.  U and each bound carry the relative margin for
+    rounding (`_prune_margin`).
     """
     narrow = half < _NARROW
     half, va, vb = half[narrow], va[narrow], vb[narrow]
-    u = (1.0 + _PRUNE_MARGIN) * np.max(np.maximum(va, vb) / np.cos(half), initial=0.0)
+    u = (1.0 + margin) * np.max(np.maximum(va, vb) / np.cos(half), initial=0.0)
     bound = np.full(len(narrow), np.inf)
     phi = (np.arccos(va / u) + np.arccos(vb / u)) / 2.0
-    bound[narrow] = (1.0 + _PRUNE_MARGIN) * u * np.cos(np.maximum(0.0, phi - half))
+    bound[narrow] = (1.0 + margin) * u * np.cos(np.maximum(0.0, phi - half))
     return u, bound
 
 
-def _upper_arm_samples(f: NodeFamily, table, ts):
-    """Lebesgue function at the corner t = 0, at those of the upper-arm
-    samples ts (folded, ascending) that may rank among the _POLISH_STARTS
-    largest and at the endpoint t = 2pi/3, -inf at the other samples;
-    and U, a bound on its max over the arm.
+def _zoom(n, theta, t, v, evaluate):
+    """(L, its t, U) of the evaluated chain points theta, t, v: its cells zoomed until U meets L.
 
-    The chain (`_arm_chain`) runs from the corner to the endpoint; its
-    extra points and both ends are evaluated but not ranked.  Each
-    cell's bound and U are `_szego`'s.  Cells with n delta/2 >= _NARROW
-    are always refined and stay out of U, so once no cell is open every
-    cell is in U, and U bounds the max.
+    A cell between neighbours a and b is split into _ZOOM_PARTS equal
+    pieces while max(va, vb)/cos(half), its bound on a max inside it,
+    exceeds the best value by more than _ZOOM_TOL relative: in t where
+    both ends carry a t, in theta otherwise.  Each round's new points go
+    through one call evaluate(theta, t), t NaN at theta-only points.  L
+    is the best t-sample; the theta-only points bound cells but are not
+    reported.  U is `_szego`'s over the final cells, at most
+    L (1 + _ZOOM_TOL)(1 + _prune_margin(n)) unless a theta-only point
+    exceeds L.
     """
-    theta, t, sample = _arm_chain(f.n, ts)
-    ranked = sample.copy()
-    ranked[[0, -1]] = False
-
-    def evaluate(idx):  # the points are made per call: the chain holds 8 bytes per point, not 16
-        on = sample[idx]
-        zs = np.empty(len(idx), dtype=complex)
-        zs[on] = boundary_point(t[idx[on]])
-        zs[~on] = arm_point(1, np.cos(theta[idx[~on]] / 2.0) ** 2)
-        return lebesgue_function_grid(f, table, zs)
-
-    def bound(a, b, va, vb):
-        return _szego(f.n * (theta[a] - theta[b]) / 2.0, va, vb)[1]
-
-    values = _pruned_chain(np.full(len(theta), np.nan), ranked, evaluate, bound, _POLISH_STARTS)
-    k = np.flatnonzero(values > -np.inf)
-    a, b = k[:-1], k[1:]
-    return values[sample], _szego(f.n * (theta[a] - theta[b]) / 2.0, values[a], values[b])[0]
+    frac = np.arange(1, _ZOOM_PARTS) / _ZOOM_PARTS
+    while True:
+        half = n * (theta[:-1] - theta[1:]) / 2.0
+        a = np.flatnonzero(np.maximum(v[:-1], v[1:]) / np.cos(half) > v.max() * (1.0 + _ZOOM_TOL))
+        if not len(a):
+            break
+        ts = (t[a, None] + (t[a + 1] - t[a])[:, None] * frac).ravel()  # NaN in the cells split in theta
+        th = (theta[a, None] + (theta[a + 1] - theta[a])[:, None] * frac).ravel()
+        on = ~np.isnan(ts)
+        th[on] = _arm_angle(ts[on])
+        at = np.repeat(a + 1, len(frac))
+        theta, t, v = np.insert(theta, at, th), np.insert(t, at, ts), np.insert(v, at, evaluate(th, ts))
+    i = np.argmax(np.where(np.isnan(t), -np.inf, v))
+    return float(v[i]), float(t[i]), float(_szego(half, v[:-1], v[1:], _prune_margin(n))[0])
 
 
 def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64) -> MetricRecord:
@@ -248,55 +239,48 @@ def lebesgue_constant(f: NodeFamily, grid_per_gap: int = 64) -> MetricRecord:
     The node set must be conjugate-symmetric (ValueError otherwise), so
     the Lebesgue function takes the same value at z and at its conjugate
     and the max over the arc is the max over the upper arm, folded
-    t in [0, 2pi/3].  Samples grid_per_gap points inside every
-    folded-angle gap of the whole arc, keeps the samples with t >= 0,
-    then polishes the five best within two grid steps, inside the upper
-    arm, to REFINE_TOL in the angle, the five Brent searches in lockstep;
-    the corner t = 0 and the endpoint t = 2pi/3 are candidates too.
+    t in [0, 2pi/3].  The search runs on a chain (`_arm_chain`) from the
+    corner t = 0 through grid_per_gap samples inside every folded-angle
+    gap of the whole arc, those with t >= 0, to the endpoint t = 2pi/3.
 
-    Only the samples that can be among the five best are evaluated
-    (`_upper_arm_samples`).  On the arm z = 27^(1/4) e^{3pi i/4} s with
-    s = (1 + cos theta)/2, every sum of c_k l_k(z) with |c_k| = 1 is a
-    cosine polynomial of degree n in theta, so by the Bernstein-Szego
-    inequality arccos(lambda/U) is n-Lipschitz in theta for any U above
-    the max, which bounds lambda inside each cell between samples
-    (`_szego`).  A cell is skipped only while that bound, with a
-    relative margin of _PRUNE_MARGIN for rounding, is below the
-    fifth-best sample, and every skipped cell is certified again against
-    the final U and fifth-best sample.  Each evaluated sample has the
-    bits it has in the full grid, so the result is bitwise that of
-    evaluating every sample.  settings["grid_samples"] and
-    settings["grid_evaluated"] count the samples and the evaluated ones,
-    and settings["bracket"] is [value, U], U the chain's final bound on
-    the max.
+    On the arm z = 27^(1/4) e^{3pi i/4} s with s = (1 + cos theta)/2,
+    every sum of c_k l_k(z) with |c_k| = 1 is a cosine polynomial of
+    degree n in theta, so by the Bernstein-Szego inequality
+    arccos(lambda/U) is n-Lipschitz in theta for any U above the max,
+    which bounds lambda inside each cell between evaluated points
+    (`_szego`).  Only the chain points that may exceed the best sample
+    are evaluated (`_pruned_chain`); then every cell that may still hold
+    a max above it is zoomed (`_zoom`).  The value is the best t-sample,
+    and settings["bracket"] is [value, U], U a certified bound on the
+    max, at most (1 + 2 _prune_margin(n)) times the value.
+    settings["grid_samples"] and settings["grid_evaluated"] count the
+    grid samples and the evaluated ones.
     """
-    settings = {"grid_per_gap": grid_per_gap, "refine_tol": REFINE_TOL}
     if grid_per_gap < 8:
         raise ValueError("grid_per_gap must be >= 8")
     if not np.array_equal(np.sort_complex(f.points), np.sort_complex(f.points.conj())):
         raise ValueError("the upper-arm search needs a conjugate-symmetric node set")
     table = build_derivative_table(f)
-
-    def neg(t):
-        return -lebesgue_function_grid(f, table, boundary_point(t))
-
-    ts, h = _arc_samples(f, grid_per_gap)
+    ts = _arc_samples(f, grid_per_gap)
     ts = ts[ts >= 0.0]
-    values, cap = _upper_arm_samples(f, table, ts)
-    lam = values[1:-1]
-    settings.update(grid_samples=len(ts), grid_evaluated=int(np.count_nonzero(lam > -np.inf)))
-    # Brent never evaluates a bracket's ends, so the corner t = 0 and the
-    # endpoint t = 2pi/3, where the clamped brackets end, are candidates of their own
-    best_val, best_t = float(values[0]), 0.0
-    if values[-1] > best_val:
-        best_val, best_t = float(values[-1]), CORNER_ANGLE
-    top = np.argsort(lam)[::-1][:_POLISH_STARTS]
-    lo, hi = np.maximum(ts[top] - 2 * h, 0.0), np.minimum(ts[top] + 2 * h, CORNER_ANGLE)
-    for v, t in _polish(neg, ts[top], -lam[top], lo, hi, REFINE_TOL):
-        if -v > best_val:
-            best_val, best_t = -v, t
-    settings["bracket"] = [best_val, float(cap)]
-    return MetricRecord("lebesgue_constant", f.n, f.kind, best_val, location=best_t, settings=settings)
+    theta, t, sample = _arm_chain(f.n, ts)
+
+    def evaluate(th, tt):  # the points are made per call: the chain holds 8 bytes per point, not 16
+        on = ~np.isnan(tt)
+        zs = np.empty(len(tt), dtype=complex)
+        zs[on] = boundary_point(tt[on])
+        zs[~on] = arm_point(1, np.cos(th[~on] / 2.0) ** 2)
+        return lebesgue_function_grid(f, table, zs)
+
+    def bound(a, b, va, vb):
+        return _szego(f.n * (theta[a] - theta[b]) / 2.0, va, vb, _prune_margin(f.n))[1]
+
+    values = _pruned_chain(np.full(len(theta), np.nan), sample, lambda idx: evaluate(theta[idx], t[idx]), bound)
+    known = values > -np.inf
+    value, location, cap = _zoom(f.n, theta[known], t[known], values[known], evaluate)
+    settings = {"grid_per_gap": grid_per_gap, "grid_samples": len(ts),
+                "grid_evaluated": int(np.count_nonzero(known[sample][1:-1])), "bracket": [value, cap]}
+    return MetricRecord("lebesgue_constant", f.n, f.kind, value, location=location, settings=settings)
 
 
 def lower_bound_witness(n: int) -> MetricRecord:
@@ -355,6 +339,14 @@ def _level_min_angle(points, curve: LevelCurve) -> float:
     return abs(float(tg[np.argmin(lw)]))
 
 
+def _polish(g, t, v, lo, hi, xatol):
+    """(value, location): the bounded-Brent minimum of g on [lo, hi], or the
+    start t, v = g(t) unless that minimum is strictly below v.  g takes an
+    array of points: `minimize_scalar` runs the search as a lockstep of one."""
+    (r,) = minimize_scalar(g, [(lo, hi)], xatol=xatol).runs
+    return (float(r.fun), float(r.x)) if r.fun < v else (float(v), float(t))
+
+
 def level_minmax(n: int, convention: str = "one_over_n_plus_1"):
     """Min and max of the raw-family nodal magnitude over the level curve.
 
@@ -367,9 +359,9 @@ def level_minmax(n: int, convention: str = "one_over_n_plus_1"):
     h = 2.0 * np.pi / len(tg)
 
     def polish(sign, i):  # one start, at the scan sample i, on sign * log|omega|
-        t = tg[i : i + 1]
+        t = tg[i]
         return _polish(lambda ts: sign * log_abs_omega(fam.points, level_point(curve, ts)),
-                       t, sign * lw[i : i + 1], t - h, t + h, 1e-12)[0]
+                       t, sign * lw[i], t - h, t + h, 1e-12)
 
     lw_min, t_min = polish(1.0, np.argmin(lw))
     neg_max, t_max = polish(-1.0, np.argmax(lw))

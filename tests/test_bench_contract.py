@@ -52,7 +52,11 @@ def test_tracer_sees_level_scans_and_refinements():
     # level_minmax, muckenhoupt_constant and mz_ratio's choose_ratio_index
     assert out["metrics.level_scans"] == 3
     assert out["metrics.level_refine_evals"] > 0
-    assert out["metrics.lebesgue_refine_evals"] > 0
+    # the Lebesgue search has no polish: its chain and zoom evaluate through
+    # the traced kernel, so nodal.lebesgue_grid_cells counts them inside its span
+    (search,) = [i for i, span in enumerate(tracer.spans) if span[0] == "metrics.lebesgue_constant"]
+    assert sum(span[4]["cells"] for span in tracer.spans
+               if span[0] == "nodal.lebesgue_function_grid" and span[1] == search) > 0
     assert out["metrics.mz_quad_evals"] > 0
     assert out["conformal.dist_s"] > 0
     assert out["metrics.fit_s"] > 0

@@ -13,7 +13,6 @@ import pytest
 from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
 from lshapearc import _brent, metrics
-from lshapearc.families import build_adjusted
 
 
 def _alone(func, bounds, xatol):
@@ -137,12 +136,12 @@ def test_lockstep_runs_each_bracket_as_alone():
     assert sizes == sorted(sizes, reverse=True) and sizes[0] == len(brackets)
 
 
-def test_lebesgue_polish_matches_scipy(monkeypatch):
-    want = metrics.lebesgue_constant(build_adjusted(64))
+def test_level_polish_matches_scipy(monkeypatch):
+    want = metrics.level_minmax(16)
     calls = _checking(monkeypatch, metrics, "minimize_scalar")
-    got = metrics.lebesgue_constant(build_adjusted(64))
-    assert [len(c) for c in calls] == [5]  # one lockstep call for the five starts
-    assert (got.value, got.location) == (want.value, want.location)
+    got = metrics.level_minmax(16)
+    assert [len(c) for c in calls] == [1, 1]  # one search for the min, one for the max
+    assert [(r.value, r.location) for r in got] == [(r.value, r.location) for r in want]
 
 
 def test_power_fit_matches_scipy(monkeypatch):

@@ -47,7 +47,7 @@ def test_sweep_schema_and_values(tmp_path):
     out = tmp_path / "sweep.csv"
     run_cli(["sweep", "--list", "0,16", "--family", "adjusted", "--out", str(out)])
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol"
+    assert lines[0] == "n,family,L_n,L_over_log,argmax_t,grid_per_gap"
     row0 = lines[1].split(",")
     assert row0[0] == "0" and float(row0[2]) == 1.0 and row0[3] == "nan"
     row16 = lines[2].split(",")
@@ -112,7 +112,7 @@ def test_sweep_cache_replay(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "command, own, key",
     [
-        ("lebesgue", {"family": "adjusted", "grid_per_gap": 64}, "1eade755a02e43f10fa5aff6"),
+        ("lebesgue", {"family": "adjusted", "grid_per_gap": 64}, "9c52079b94ff94684e8bfeac"),
         ("minmax", {"rho": "n+1"}, "17d22964c6c035124e7682b9"),
         ("apweight", {"p": [2.0, 4.0]}, "c84aee0ce95eba3c72fc17c4"),
         ("mzratio", {"p": 2.0, "quad_tol": 1e-8}, "01af803b1f6a1c4d55153828"),
@@ -228,10 +228,10 @@ def test_fit_power_roundtrip(tmp_path):
 
 def test_fit_affine_on_lebesgue_csv(tmp_path):
     csv = tmp_path / "lb.csv"
-    rows = ["n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol"]
+    rows = ["n,family,L_n,L_over_log,argmax_t,grid_per_gap"]
     for n in [256, 512, 1024, 2048]:
         L = (1.0 + 0.1 * np.log(n)) * np.log(n)
-        rows.append(f"{n},adjusted,{L:.6f},{L / np.log(n):.6f},0.0,64,1e-09")
+        rows.append(f"{n},adjusted,{L:.6f},{L / np.log(n):.6f},0.0,64")
     csv.write_text("\n".join(rows) + "\n")
     out = tmp_path / "fit.json"
     run_cli(["fit", str(csv), "--model", "affine", "--out", str(out)])
@@ -301,8 +301,8 @@ def test_fit_bad_input_is_one_line_exit_2(tmp_path, capsys, text, extra):
 
 def test_fit_refuses_non_finite_value(tmp_path, capsys):
     # L_over_log is nan at n = 0 and n = 1: the fit names the first such row
-    header = "n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol\n"
-    rows = "".join(f"{n},adjusted,{L:.6f},{over},0.0,64,1e-09\n"
+    header = "n,family,L_n,L_over_log,argmax_t,grid_per_gap\n"
+    rows = "".join(f"{n},adjusted,{L:.6f},{over},0.0,64\n"
                    for n, L, over in [(1, 1.414214, "nan"), (16, 4.2, "1.5"), (32, 4.6, "1.3"), (64, 5.0, "1.2")])
     err = _fit_refused(tmp_path, capsys, header + rows, ("--value-col", "L_over_log"))
     assert "(n, value) = (1, nan)" in err
@@ -311,8 +311,8 @@ def test_fit_refuses_non_finite_value(tmp_path, capsys):
 def test_fit_affine_refuses_degree_zero_before_any_log(tmp_path):
     # LAPACK warnings go straight to file descriptor 2, so run a subprocess
     csv = tmp_path / "lb.csv"
-    rows = ["n,family,L_n,L_over_log,argmax_t,grid_per_gap,refine_tol", "0,adjusted,1.000000,nan,0.0,64,1e-09"]
-    rows += [f"{n},adjusted,{n:.6f},1.0,0.0,64,1e-09" for n in (16, 32, 64)]
+    rows = ["n,family,L_n,L_over_log,argmax_t,grid_per_gap", "0,adjusted,1.000000,nan,0.0,64"]
+    rows += [f"{n},adjusted,{n:.6f},1.0,0.0,64" for n in (16, 32, 64)]
     csv.write_text("\n".join(rows) + "\n")
     proc = subprocess.run(
         [sys.executable, "-m", "lshapearc.cli", "fit", str(csv), "--model", "affine"],

@@ -181,12 +181,11 @@ def _assert_bits_do_not_depend_on_the_call_shape(f, xs, name):
 
 
 def test_boundary_point_bits_do_not_depend_on_the_call_shape():
-    # the Lebesgue chain evaluates its samples, the corner and the endpoint in
-    # arrays, the lockstep polishes their points in batches of five down to
-    # one, and single points are mapped in 0-d calls; all must see the same
-    # points, bit for bit.  So must the level polish, whose searches are
-    # locksteps of one, and the distance search, which maps psi and psi_prime
-    # on the level curve in arrays of any length
+    # the Lebesgue chain and its zoom map their points in arrays of any
+    # length, and single points are mapped in 0-d calls; all must see the
+    # same points, bit for bit.  So must the level polish, whose searches
+    # are locksteps of one, and the distance search, which maps psi and
+    # psi_prime on the level curve in arrays of any length
     ends = np.geomspace(1e-15, 0.5, 50000)
     ts = np.unique(np.concatenate([[0.0, CORNER_ANGLE], ends, CORNER_ANGLE - ends, np.linspace(0.0, CORNER_ANGLE, 160001)]))
     assert len(ts) >= 250000

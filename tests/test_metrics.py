@@ -47,7 +47,7 @@ def test_lebesgue_function_mirror_symmetric_on_full_grid(build, n):
     # the upper-arm search rests on lambda(conj z) = lambda(z) over the whole arc
     f = build(n)
     table = build_derivative_table(f)
-    ts, _ = metrics._arc_samples(f, 64)
+    ts = metrics._arc_samples(f, 64)
     lam = lebesgue_function_grid(f, table, boundary_point(ts))
     mirror = lebesgue_function_grid(f, table, boundary_point(-ts))
     assert np.allclose(mirror, lam, rtol=1e-13, atol=0.0)
@@ -76,55 +76,34 @@ def test_lebesgue_constant_stays_on_upper_arm(monkeypatch):
 
 
 def _dense_lebesgue_constant(f, grid_per_gap):
-    """(value, location) of the search before its grid was pruned: every
-    upper-arm sample, the five best by np.argsort, and the same polish,
-    one start after another; the corner and the endpoint are candidates,
-    the corner first."""
+    """(value, location, bracket) of the search with every chain point
+    evaluated, in one kernel call, and then the same zoom."""
     table = build_derivative_table(f)
-    ts, h = metrics._arc_samples(f, grid_per_gap)
-    ts = ts[ts >= 0.0]
-    lam = lebesgue_function_grid(f, table, boundary_point(ts))
+    ts = metrics._arc_samples(f, grid_per_gap)
+    theta, t, _ = metrics._arm_chain(f.n, ts[ts >= 0.0])
 
-    def neg(t):
-        return -lebesgue_function(f, table, complex(boundary_point(t)))
+    def evaluate(th, tt):  # boundary_point's bits do not depend on the call shape
+        on = ~np.isnan(tt)
+        zs = np.where(on, boundary_point(np.where(on, tt, 0.0)), arm_point(1, np.cos(th / 2.0) ** 2))
+        return lebesgue_function_grid(f, table, zs)
 
-    best = (-neg(0.0), 0.0)
-    if -neg(CORNER_ANGLE) > best[0]:
-        best = (-neg(CORNER_ANGLE), CORNER_ANGLE)
-    for i in np.argsort(lam)[::-1][:5]:
-        lo, hi = max(ts[i] - 2 * h, 0.0), min(ts[i] + 2 * h, CORNER_ANGLE)
-        ((v, t),) = metrics._polish(lambda xs: np.array([neg(x) for x in xs]), ts[i : i + 1], -lam[i : i + 1],
-                                    [lo], [hi], metrics.REFINE_TOL)
-        if -v > best[0]:
-            best = (-v, t)
-    return best
+    value, location, cap = metrics._zoom(f.n, theta, t, evaluate(theta, t), evaluate)
+    return value, location, [value, cap]
 
 
 @pytest.mark.parametrize("grid_per_gap", [8, 64, 128])
-def test_pruned_lebesgue_search_makes_the_dense_searchs_polish_calls(monkeypatch, grid_per_gap):
-    # the polish is a function of its arguments alone, so both searches record
-    # them in place of running Brent: the same starts give the same result.
-    # The pruned search makes one lockstep call, recorded start by start
-    calls, chains, prune = [], [], metrics._pruned_chain
-
-    def record(g, t, v, lo, hi, xatol):
-        calls.extend((*start, xatol) for start in zip(t, v, lo, hi))
-        return list(zip(v, t))
-
-    monkeypatch.setattr(metrics, "_polish", record)
+def test_pruned_lebesgue_search_is_the_dense_chain_and_zoom(monkeypatch, grid_per_gap):
+    chains, prune = [], metrics._pruned_chain
     monkeypatch.setattr(metrics, "_pruned_chain", lambda *args: chains.append(args) or prune(*args))
     for build in (build_raw, build_adjusted):
         for n in range(97):
             f = build(n)
-            calls.clear()
             rec = lebesgue_constant(f, grid_per_gap)
-            pruned = list(calls)
-            calls.clear()
-            assert (rec.value, rec.location) == _dense_lebesgue_constant(f, grid_per_gap), (build.__name__, n)
-            assert pruned == calls, (build.__name__, n)
+            dense = _dense_lebesgue_constant(f, grid_per_gap)
+            assert (rec.value, rec.location, rec.settings["bracket"]) == dense, (build.__name__, n)
 
-            # and every point the search skipped lies below the bound of its final cell
-            values, _, evaluate, bound, _ = chains.pop()
+            # and every point the chain skipped lies below the bound of its final cell
+            values, _, evaluate, bound = chains.pop()
             known = np.flatnonzero(values > -np.inf)
             skipped = np.flatnonzero(values == -np.inf)
             if len(skipped):
@@ -136,8 +115,26 @@ def test_pruned_lebesgue_search_makes_the_dense_searchs_polish_calls(monkeypatch
 def test_pruned_lebesgue_search_at_1024_skips_half_the_grid():
     f = build_adjusted(1024)
     rec = lebesgue_constant(f)
-    assert (rec.value, rec.location) == _dense_lebesgue_constant(f, 64)
+    assert (rec.value, rec.location, rec.settings["bracket"]) == _dense_lebesgue_constant(f, 64)
     assert rec.settings["grid_evaluated"] <= rec.settings["grid_samples"] / 2
+
+
+def test_lebesgue_constant_makes_no_minimize_scalar_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lebesgue_constant called minimize_scalar")
+
+    monkeypatch.setattr(metrics, "minimize_scalar", refuse)
+    for build in (build_raw, build_adjusted):
+        for n in (0, 1, 16, 69, 132):
+            lebesgue_constant(build(n))
+
+
+def test_prune_margin_covers_twice_the_point_rounding():
+    # 1e-6 up to 2^15; above, the point rounding 2n^2 eps alone passes 1e-6, and the margin grows with it
+    eps = np.finfo(float).eps
+    assert [metrics._prune_margin(n) for n in (0, 1, 64, 8192, 2**15)] == [1e-6] * 5
+    for n in (2**15, 2**16, 2**17, 10**6):
+        assert metrics._prune_margin(n) >= 2.0 * (2.0 * n * n * eps)
 
 
 def _fine_arm_max(f):
@@ -166,8 +163,8 @@ def test_lebesgue_bracket_holds_the_fine_grid_max(build):
         lo, hi = rec.settings["bracket"]
         ref = _fine_arm_max(build(n))
         assert lo == rec.value and np.isfinite(hi), n
-        # the value is the max to rounding, and U is above it
-        assert abs(ref - lo) <= 1e-12 * lo and ref <= hi, n
+        # the value is the max to rounding, and U is above it, by at most the margin on each
+        assert abs(ref - lo) <= 1e-12 * lo and ref <= hi <= lo * (1.0 + 2.0 * metrics._prune_margin(n)), n
 
 
 def test_adjusted_n32_band():
